@@ -43,7 +43,15 @@ from .verifier import (
     verify_query,
 )
 from .bounds import ErrorBounds, clustering_error, naive_robust_check, total_error
-from .lifting import EPSILON_SCOPE_NOTE, LiftedBounds, lift_proof, lifted_bounds, pipeline
+from .lifting import (
+    EPSILON_SCOPE_NOTE,
+    LiftedBounds,
+    VerifyLiftResult,
+    lift_proof,
+    lifted_bounds,
+    pipeline,
+    verify_and_lift,
+)
 from .trainer import TrainConfig, init_network, loss_and_grads, train
 
 __version__ = "0.1.0"
@@ -89,6 +97,8 @@ __all__ = [
     "LiftedBounds",
     "lifted_bounds",
     "lift_proof",
+    "verify_and_lift",
+    "VerifyLiftResult",
     "pipeline",
     "EPSILON_SCOPE_NOTE",
     "TrainConfig",

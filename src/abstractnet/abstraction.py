@@ -97,7 +97,10 @@ class AbstractionRecord:
     Holds both networks plus, per hidden layer of the original, the clusters,
     representatives, and per-original-neuron epsilons measured during merging.
     The record is self-contained: error bounds and lifted interval bounds are
-    functions of the record (and a query) alone.
+    functions of the record (and a query) alone. Construction re-derives the
+    abstract network by merging the original layer by layer with the recorded
+    clusterings and rejects any mismatch, so a record loaded from disk is
+    checked, not trusted.
     """
 
     original_net: Network
@@ -115,6 +118,7 @@ class AbstractionRecord:
                 f"expected one clustering per hidden layer ({orig.num_layers - 2}), "
                 f"got {len(self.clusterings)}"
             )
+        merged = orig
         for offset, cl in enumerate(self.clusterings):
             layer = offset + 2
             if cl.layer != layer:
@@ -124,16 +128,21 @@ class AbstractionRecord:
                     f"layer {layer}: clustering covers {cl.num_neurons} neurons, "
                     f"original has {orig.width(layer)}"
                 )
-            if cl.num_clusters != self.abstract_net.width(layer):
-                raise ValidationError(
-                    f"layer {layer}: {cl.num_clusters} clusters but abstract width "
-                    f"{self.abstract_net.width(layer)}"
-                )
-        if (
-            orig.layer_sizes[0] != self.abstract_net.layer_sizes[0]
-            or orig.layer_sizes[-1] != self.abstract_net.layer_sizes[-1]
+            if cl.num_clusters < cl.num_neurons:
+                merged = _merge_layer(merged, layer, cl)
+        abst = self.abstract_net
+        if not (
+            merged.layer_sizes == abst.layer_sizes
+            and merged.output_activation == abst.output_activation
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(merged.weights + merged.biases, abst.weights + abst.biases)
+            )
         ):
-            raise ValidationError("input and output widths must survive abstraction unchanged")
+            raise ValidationError(
+                "the abstract network differs from the merge of the original network "
+                "by the recorded clusterings"
+            )
 
     @property
     def k_l(self) -> dict[int, int]:

@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +24,16 @@ from . import __version__
 from .abstraction import AbstractionRecord, abstract, identify_clusters, reduction_rate
 from .data import LabeledDataset, accuracy, load_csv, load_idx, split_dataset
 from .errors import AbstractnetError, FormatError, TrainingError, ValidationError
-from .lifting import EPSILON_SCOPE_NOTE, lift_proof
+from .lifting import EPSILON_SCOPE_NOTE, verify_and_lift
 from .network import Network, RobustnessQuery
 from .synthetic import make_synthetic_digits
 from .trainer import TrainConfig, train
-from .verifier import Verdict, check_robust, falsify, ibp_bounds
+from .verifier import Verdict, _verdict_value, falsify, ibp_bounds, robust_mask
 
 log = logging.getLogger("abstractnet.cli")
+
+# bench checks its --timeout-s deadline between batches of this many queries
+BENCH_BATCH = 100
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -165,16 +167,6 @@ def _load_dataset(args) -> LabeledDataset:
     return load_csv(args.data)
 
 
-def _run_indexed(fn, items, jobs: int):
-    """Apply fn to each item, preserving order; jobs > 1 fans out across threads."""
-    if jobs < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _clamped_count(requested: int, available: int, what: str) -> int:
     if requested < 1:
         raise ValidationError(f"--count must be >= 1, got {requested}")
@@ -295,7 +287,6 @@ def cmd_verify(args) -> int:
     width = net.layer_sizes[0]
     delta = _parse_delta(args.delta, width)
 
-    queries: list[tuple[int | None, np.ndarray]] = []
     if args.input is not None:
         try:
             index = int(args.input)
@@ -303,31 +294,31 @@ def cmd_verify(args) -> int:
             x = _parse_vector_file(args.input)
             if x.shape[0] != width:
                 raise ValidationError(f"input has {x.shape[0]} features, network expects {width}")
-            queries.append((None, x))
+            ids, X = [None], x[None, :]
         else:
             ds = _load_dataset(args)
             if not 0 <= index < len(ds):
                 raise ValidationError(f"--input index {index} out of range for {len(ds)} rows")
-            queries.append((index, ds.inputs[index]))
+            ids, X = [index], ds.inputs[index : index + 1]
     else:
         ds = _load_dataset(args)
         n = _clamped_count(10 if args.count is None else args.count, len(ds), "inputs")
-        queries = [(i, ds.inputs[i]) for i in range(n)]
+        ids, X = list(range(n)), ds.inputs[:n]
 
-    def run_one(item):
-        qid, x = item
-        target = int(net.classify(x))
-        bounds = ibp_bounds(net, x, delta)
-        verdict = check_robust(bounds, target)
+    targets = net.classify(X)
+    bounds = ibp_bounds(net, X, delta)
+    proven = robust_mask(bounds, targets)
+    rows = zip(ids, X, targets, proven, bounds.output_lower, bounds.output_upper)
+    for qid, x, target, ok, lower, upper in rows:
         line = {
             "schema": 1,
             "query": qid,
-            "target": target,
-            "verdict": verdict.value,
-            "output_lower": bounds.output_lower,
-            "output_upper": bounds.output_upper,
+            "target": int(target),
+            "verdict": _verdict_value(ok),
+            "output_lower": lower,
+            "output_upper": upper,
         }
-        if args.falsify and verdict is not Verdict.ROBUST:
+        if args.falsify and not ok:
             witness = falsify(
                 net,
                 RobustnessQuery(x, delta),
@@ -340,9 +331,6 @@ def cmd_verify(args) -> int:
                 line["witness"] = witness
                 line["witness_label"] = int(net.classify(witness))
                 line["verdict"] = Verdict.NOT_ROBUST.value
-        return line
-
-    for line in _run_indexed(run_one, queries, args.jobs):
         _emit_line(line)
     return 0
 
@@ -352,37 +340,11 @@ def cmd_lift(args) -> int:
     ds = _load_dataset(args)
     delta = _parse_delta(args.delta, record.original_net.layer_sizes[0])
     n = _clamped_count(args.count, len(ds), "inputs")
-    abs_net = record.abstract_net
-
-    results = []
-    n_abstract = 0
-    n_lifted = 0
-    verify_s = 0.0
-    lift_s = 0.0
-    for i in range(n):
-        x = ds.inputs[i]
-        query = RobustnessQuery(x, delta)
-        t0 = time.perf_counter()
-        target = int(abs_net.classify(x))
-        abstract_verdict = check_robust(ibp_bounds(abs_net, x, delta), target)
-        t1 = time.perf_counter()
-        if abstract_verdict is Verdict.ROBUST:
-            lifted_verdict = lift_proof(record, query)
-        else:
-            lifted_verdict = Verdict.UNKNOWN
-        t2 = time.perf_counter()
-        verify_s += t1 - t0
-        lift_s += t2 - t1
-        n_abstract += abstract_verdict is Verdict.ROBUST
-        n_lifted += lifted_verdict is Verdict.ROBUST
-        results.append(
-            {
-                "query": i,
-                "target": target,
-                "abstract": abstract_verdict.value,
-                "lifted": lifted_verdict.value,
-            }
-        )
+    run = verify_and_lift(record, ds.inputs[:n], delta)
+    results = [
+        {"query": i, "target": int(t), "abstract": _verdict_value(a), "lifted": _verdict_value(b)}
+        for i, (t, a, b) in enumerate(zip(run.labels, run.abstract_robust, run.lifted_robust))
+    ]
     _emit(
         {
             "schema": 1,
@@ -390,14 +352,14 @@ def cmd_lift(args) -> int:
             "record": args.record,
             "delta": delta,
             "queries": n,
-            "abstract_robust": n_abstract,
-            "lifted_robust": n_lifted,
+            "abstract_robust": int(run.abstract_robust.sum()),
+            "lifted_robust": int(run.lifted_robust.sum()),
             "reduction_rate": reduction_rate(record),
             "removed_neurons": _removed_neurons(record),
             "epsilon_max_per_layer": _epsilon_maxima(record),
             "results": results,
             "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},
-            "timings": {"verify_s": verify_s, "lift_s": lift_s},
+            "timings": {"verify_s": run.verify_s, "lift_s": run.lift_s},
         }
     )
     return 0
@@ -418,47 +380,35 @@ def cmd_bench(args) -> int:
     )
     record = abstract(net, X, k_l, seed=args.seed, epsilon_norm=args.epsilon_norm)
     abstract_s = time.perf_counter() - t_start
-    abs_net = record.abstract_net
     if args.record_out:
         record.save(args.record_out)
 
     timers = {"original_verify_s": 0.0, "abstract_verify_s": 0.0, "lift_s": 0.0}
-
-    def run_query(i: int) -> dict:
-        x = ds.inputs[i]
-        t0 = time.perf_counter()
-        original = check_robust(ibp_bounds(net, x, delta), int(net.classify(x)))
-        t1 = time.perf_counter()
-        abstract_v = check_robust(ibp_bounds(abs_net, x, delta), int(abs_net.classify(x)))
-        t2 = time.perf_counter()
-        if abstract_v is Verdict.ROBUST:
-            lifted = lift_proof(record, RobustnessQuery(x, delta))
-        else:
-            lifted = Verdict.UNKNOWN
-        t3 = time.perf_counter()
-        timers["original_verify_s"] += t1 - t0
-        timers["abstract_verify_s"] += t2 - t1
-        timers["lift_s"] += t3 - t2
-        return {
-            "query": i,
-            "original": original.value,
-            "abstract": abstract_v.value,
-            "lifted": lifted.value,
-        }
-
     deadline = t_start + args.timeout_s if args.timeout_s is not None else None
     results: list[dict] = []
     timed_out = False
-    pos = 0
-    chunk = max(1, args.jobs)
-    while pos < n:
+    queries = ds.inputs[:n]
+    for pos in range(0, n, BENCH_BATCH):
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             log.warning("timeout after %d of %d queries", pos, n)
             break
-        batch = list(range(pos, min(pos + chunk, n)))
-        results.extend(_run_indexed(run_query, batch, args.jobs))
-        pos += len(batch)
+        batch = queries[pos : pos + BENCH_BATCH]
+        t0 = time.perf_counter()
+        original = robust_mask(ibp_bounds(net, batch, delta), net.classify(batch))
+        timers["original_verify_s"] += time.perf_counter() - t0
+        run = verify_and_lift(record, batch, delta)
+        timers["abstract_verify_s"] += run.verify_s
+        timers["lift_s"] += run.lift_s
+        results.extend(
+            {
+                "query": pos + i,
+                "original": _verdict_value(o),
+                "abstract": _verdict_value(a),
+                "lifted": _verdict_value(b),
+            }
+            for i, (o, a, b) in enumerate(zip(original, run.abstract_robust, run.lifted_robust))
+        )
 
     total_s = time.perf_counter() - t_start
     _emit(
@@ -481,7 +431,7 @@ def cmd_bench(args) -> int:
             "seed": args.seed,
             "accuracy": {
                 "original": accuracy(net, val_part),
-                "abstract": accuracy(abs_net, val_part),
+                "abstract": accuracy(record.abstract_net, val_part),
             },
             "results": results,
             "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},
@@ -547,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--falsify", action="store_true", help="sample the box for counterexamples")
     p.add_argument("--samples", type=int, default=1000, help="falsifier sample count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="threads across queries")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lift", help="verify on the abstraction and lift proofs to the original")
@@ -567,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon-norm", choices=("l2", "linf"), default="l2")
     p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--jobs", type=int, default=1, help="threads across queries")
     p.add_argument("--record-out", help="also save the abstraction record here")
     p.set_defaults(func=cmd_bench)
 

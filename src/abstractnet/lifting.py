@@ -30,7 +30,9 @@ from .abstraction import AbstractionRecord, abstract, identify_clusters, reducti
 from .data import LabeledDataset, accuracy, split_dataset
 from .errors import ValidationError
 from .network import Network, RobustnessQuery
-from .verifier import LayerBounds, Verdict, check_robust, ibp_bounds
+from .verifier import (
+    LayerBounds, Verdict, _box, _verdict_value, check_robust, ibp_bounds, robust_mask
+)
 
 log = logging.getLogger(__name__)
 
@@ -73,8 +75,10 @@ class LiftedBounds(LayerBounds):
     """Lifted bounds plus the widening the lift applied at each layer.
 
     ``lower`` and ``upper`` follow the abstract network. ``widening`` holds one
-    abstract-indexed vector per layer 1..L: every original neuron's interval
+    abstract-indexed entry per layer 1..L: every original neuron's interval
     bound lies inside ``[lower - widening, upper + widening]`` of its cluster.
+    For a batch, an entry is one row per query where the lift added a box
+    epsilon, and the shared (width,) vector where it did not.
     """
 
     widening: tuple[np.ndarray, ...] = ()
@@ -137,47 +141,27 @@ def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
     return op
 
 
-def _grouped_sign_sums(record: AbstractionRecord):
-    """Per layer transition, the pair (positive-part sums, negative-part sums).
-
-    Entry j maps abstract layer j+1 to abstract layer j+2: original weight
-    columns are sign-split, then summed per source cluster; rows are restricted
-    to the destination layer's representatives. The two matrices add up to the
-    abstract weight matrix.
-    """
-    return [(step.wp, step.wn) for step in _lift_operator(record).steps]
-
-
 def lifted_bounds(
     record: AbstractionRecord, x, delta, epsilon_override=None
 ) -> LiftedBounds:
     """Interval bounds on the abstract network that also enclose the original.
 
-    Shapes follow the abstract network. At each merged layer the interval of
-    every cluster is widened by max(recorded epsilon, box epsilon), where the
-    box epsilon bounds |(W_m - W_rep) a + (b_m - b_rep)| over the members m and
-    over the previous layer's widened interval a. The widening applied at
-    each layer is returned as ``widening`` (one abstract-indexed vector per
-    layer 1..L), and every original neuron's interval bound over the box lies
-    inside its cluster's ``[lower - widening, upper + widening]``.
+    ``x`` and ``delta`` are taken as by :func:`ibp_bounds`: one query (d,) or
+    a batch (n, d). Shapes follow the abstract network. At each merged layer
+    the interval of every cluster is widened by max(recorded epsilon, box
+    epsilon), where the box epsilon bounds |(W_m - W_rep) a + (b_m - b_rep)|
+    over the members m and over the previous layer's widened interval a. The
+    widening applied at each layer is returned as ``widening`` (one
+    abstract-indexed entry per layer 1..L), and every original neuron's
+    interval bound over the box lies inside its cluster's
+    ``[lower - widening, upper + widening]``.
 
     ``epsilon_override`` replaces the record's recorded epsilons (one
     abstract-indexed vector per layer 1..L); the box epsilon is still added
     on top. Larger epsilons only widen the bounds.
     """
     abstract_net = record.abstract_net
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != abstract_net.layer_sizes[0]:
-        raise ValidationError(
-            f"x must have shape ({abstract_net.layer_sizes[0]},), got {x.shape}"
-        )
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim == 0:
-        d = np.full(x.shape, float(d))
-    if d.shape != x.shape:
-        raise ValidationError(f"delta shape {d.shape} does not match x shape {x.shape}")
-    if np.any(d < 0):
-        raise ValidationError("delta must be non-negative")
+    lo, up = _box(abstract_net, x, delta)
     op = _lift_operator(record)
     if epsilon_override is None:
         eps = op.epsilons
@@ -190,25 +174,26 @@ def lifted_bounds(
             raise ValidationError("epsilon_override must give one vector per layer")
         if any(np.any(e < 0) for e in eps):
             raise ValidationError("epsilons must be non-negative")
-    lows = [x - d]
-    ups = [x + d]
+    lows = [lo]
+    ups = [up]
     widening = [eps[0]]
     last = len(abstract_net.weights) - 1
     for j, (step, b) in enumerate(zip(op.steps, abstract_net.biases)):
         e_src = widening[-1]
         hi = ups[-1] + e_src
         lo = lows[-1] - e_src
-        new_up = step.wp @ hi + step.wn @ lo + b
-        new_lo = step.wp @ lo + step.wn @ hi + b
+        new_up = hi @ step.wp.T + lo @ step.wn.T + b
+        new_lo = lo @ step.wp.T + hi @ step.wn.T + b
         if j < last or abstract_net.output_activation == "relu":
             new_up = np.maximum(new_up, 0.0)
             new_lo = np.maximum(new_lo, 0.0)
         e_dst = eps[j + 1]
         if step.owner.size:
-            gap_up = step.dp @ hi + step.dn @ lo + step.db
-            gap_lo = step.dp @ lo + step.dn @ hi + step.db
-            e_dst = e_dst.copy()
-            np.maximum.at(e_dst, step.owner, np.maximum(np.abs(gap_up), np.abs(gap_lo)))
+            gap_up = hi @ step.dp.T + lo @ step.dn.T + step.db
+            gap_lo = lo @ step.dp.T + hi @ step.dn.T + step.db
+            gap = np.maximum(np.abs(gap_up), np.abs(gap_lo))
+            e_dst = np.broadcast_to(e_dst, new_up.shape).copy()
+            np.maximum.at(e_dst.T, step.owner, gap.T)
         lows.append(new_lo)
         ups.append(new_up)
         widening.append(e_dst)
@@ -235,6 +220,53 @@ def lift_proof(record: AbstractionRecord, query: RobustnessQuery) -> Verdict:
     return check_robust(bounds, target)
 
 
+@dataclass(frozen=True, eq=False)
+class VerifyLiftResult:
+    """Per-query outcome of :func:`verify_and_lift`, one entry per row of X.
+
+    ``labels`` are the abstract network's predictions, the targets of both
+    proofs. ``lifted_robust`` implies ``abstract_robust``. ``verify_s`` and
+    ``lift_s`` are the wall times of the two stages.
+    """
+
+    labels: np.ndarray
+    abstract_robust: np.ndarray
+    lifted_robust: np.ndarray
+    verify_s: float
+    lift_s: float
+
+
+def verify_and_lift(record: AbstractionRecord, X, delta) -> VerifyLiftResult:
+    """Interval-verify a batch of queries on the abstract network and lift the proofs.
+
+    ``X`` is (n, d); ``delta`` a scalar, a (d,) vector or an (n, d) array.
+    A query is lifted only when the abstract network proves its label, the
+    original network predicts the same label at x, and the lifted bounds prove
+    it too.
+    """
+    abstract_net = record.abstract_net
+    X = np.asarray(X, dtype=np.float64)
+    t0 = time.perf_counter()
+    labels = abstract_net.classify(X)
+    proven = robust_mask(ibp_bounds(abstract_net, X, delta), labels)
+    t1 = time.perf_counter()
+    rows = np.flatnonzero(proven)
+    agree = record.original_net.classify(X[rows]) == labels[rows]
+    if not agree.all():
+        log.info(
+            "verify_and_lift: the original net predicts another label on %d proven queries",
+            int((~agree).sum()),
+        )
+    rows = rows[agree]
+    lifted = np.zeros_like(proven)
+    if rows.size:
+        d = np.asarray(delta, dtype=np.float64)
+        bounds = lifted_bounds(record, X[rows], d[rows] if d.ndim == 2 else d)
+        lifted[rows] = robust_mask(bounds, labels[rows])
+    t2 = time.perf_counter()
+    return VerifyLiftResult(labels, proven, lifted, t1 - t0, t2 - t1)
+
+
 def pipeline(
     net: Network,
     ds: LabeledDataset,
@@ -247,11 +279,16 @@ def pipeline(
     """Abstract, verify, and lift in one pass; returns a JSON-ready report.
 
     Splits ``ds`` deterministically, sizes each layer with the validation-split
-    search, abstracts on the larger split's inputs, then runs every query
-    through interval verification on the abstract network and attempts to lift
-    each proven verdict to the original network.
+    search, abstracts on the larger split's inputs, then verifies all queries
+    at once on the abstract network and lifts the proven ones to the original
+    network (:func:`verify_and_lift`). Queries may differ in x and delta.
     """
     queries = list(queries)
+    width = net.layer_sizes[0]
+    if any(q.x.shape != (width,) for q in queries):
+        raise ValidationError(f"every query must have {width} features")
+    points = np.array([q.x for q in queries], dtype=np.float64).reshape(len(queries), width)
+    deltas = np.array([q.delta for q in queries], dtype=np.float64).reshape(points.shape)
     train_part, val_part = split_dataset(ds, val_fraction, seed)
     X = train_part.inputs
 
@@ -262,25 +299,14 @@ def pipeline(
     record = abstract(net, X, k_l, seed=seed, epsilon_norm=epsilon_norm)
     t_abstract = time.perf_counter() - t0
 
+    run = verify_and_lift(record, points, deltas)
     results = []
-    n_robust = 0
-    n_lifted = 0
-    t_verify = 0.0
-    t_lift = 0.0
-    for i, q in enumerate(queries):
-        t1 = time.perf_counter()
-        label = int(record.abstract_net.classify(q.x))
-        verdict = check_robust(ibp_bounds(record.abstract_net, q.x, q.delta), label)
-        t_verify += time.perf_counter() - t1
-        entry = {"query": i, "label": label, "abstract": verdict.value}
-        if verdict is Verdict.ROBUST:
-            n_robust += 1
-            t2 = time.perf_counter()
-            lifted = lift_proof(record, q)
-            t_lift += time.perf_counter() - t2
-            entry["lifted"] = lifted.value
-            if lifted is Verdict.ROBUST:
-                n_lifted += 1
+    for i, (label, proven, lifted) in enumerate(
+        zip(run.labels, run.abstract_robust, run.lifted_robust)
+    ):
+        entry = {"query": i, "label": int(label), "abstract": _verdict_value(proven)}
+        if proven:
+            entry["lifted"] = _verdict_value(lifted)
         results.append(entry)
 
     eps_max = {
@@ -304,15 +330,15 @@ def pipeline(
             "abstract": accuracy(record.abstract_net, val_part),
         },
         "queries": len(queries),
-        "abstract_robust": n_robust,
-        "lifted_robust": n_lifted,
+        "abstract_robust": int(run.abstract_robust.sum()),
+        "lifted_robust": int(run.lifted_robust.sum()),
         "results": results,
         "epsilon_max_per_layer": eps_max,
         "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},
         "timings": {
             "abstract_s": t_abstract,
-            "verify_s": t_verify,
-            "lift_s": t_lift,
+            "verify_s": run.verify_s,
+            "lift_s": run.lift_s,
         },
     }
     return report

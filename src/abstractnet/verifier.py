@@ -54,27 +54,29 @@ class LayerBounds:
 
 
 def _box(net: Network, x, delta):
+    """Corners of the box [x - delta, x + delta], validated against the net's input.
+
+    ``x`` is one input (d,) or a batch (n, d). ``delta`` is a scalar, a
+    per-feature (d,) vector shared by every row, or an array shaped like x.
+    """
     x = np.asarray(x, dtype=np.float64)
     d = np.asarray(delta, dtype=np.float64)
-    if d.ndim == 0:
-        d = np.broadcast_to(d, x.shape).copy()
-    if d.shape != x.shape:
+    width = net.layer_sizes[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValidationError(f"input must have shape ({width},) or (n, {width}), got {x.shape}")
+    if d.ndim != 0 and d.shape not in (x.shape, x.shape[-1:]):
         raise ValidationError(f"delta shape {d.shape} does not match x shape {x.shape}")
     if np.any(d < 0):
         raise ValidationError("delta must be non-negative")
-    if x.shape[-1] != net.layer_sizes[0]:
-        raise ValidationError(
-            f"input must have {net.layer_sizes[0]} features, got shape {x.shape}"
-        )
     return x - d, x + d
 
 
 def ibp_bounds(net: Network, x, delta) -> LayerBounds:
     """Interval bounds for every layer over the box [x - delta, x + delta].
 
-    ``x`` may be one input (d,) or a batch (n, d); ``delta`` a scalar or an
-    array broadcastable to x. At delta = 0 the bounds collapse to the forward
-    trace up to float round-off.
+    ``x`` may be one input (d,) or a batch (n, d); ``delta`` a scalar, a (d,)
+    vector shared by every row, or an array shaped like x. At delta = 0 the
+    bounds collapse to the forward trace up to float round-off.
     """
     lo, up = _box(net, x, delta)
     lows = [lo]
@@ -108,6 +110,11 @@ def check_robust(bounds: LayerBounds, target: int) -> Verdict:
     if others.size == 0 or lo[target] > others.max():
         return Verdict.ROBUST
     return Verdict.UNKNOWN
+
+
+def _verdict_value(proven) -> str:
+    """The report string for one entry of robust_mask."""
+    return (Verdict.ROBUST if proven else Verdict.UNKNOWN).value
 
 
 def robust_mask(bounds: LayerBounds, targets: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from abstractnet import AbstractionRecord, Network
+from abstractnet import AbstractionRecord, Network, ValidationError
 from abstractnet.cli import main
 from helpers import strip_timings
 
@@ -146,16 +146,6 @@ def test_verify_falsify_attaches_witness(workdir):
         assert doc["verdict"] == "unknown"
 
 
-def test_verify_jobs_match_serial(workdir):
-    d, _, _ = workdir
-    argv = ["verify", "--net", str(d / "net.json"), *SYNTH, "--count", "4",
-            "--delta", "0.01"]
-    _, serial, _ = run_cli([*argv, "--jobs", "1"])
-    _, threaded, _ = run_cli([*argv, "--jobs", "3"])
-    assert serial == threaded
-    assert run_cli([*argv, "--jobs", "0"])[0] == 2
-
-
 def test_lift_report(workdir):
     d, _, _ = workdir
     rc, out, _ = run_cli(
@@ -172,6 +162,37 @@ def test_lift_report(workdir):
     for entry in report["results"]:
         assert entry["abstract"] in ("robust", "unknown")
         assert entry["lifted"] in ("robust", "unknown")
+
+
+def test_lift_abstract_verdicts_match_verify_record(workdir, tmp_path):
+    d, _, _ = workdir
+    vec = tmp_path / "delta.txt"
+    vec.write_text(" ".join(["0", "0.004"] * 32))
+    for delta in ("0", "0.002", str(vec)):
+        common = [*SYNTH, "--count", "20", "--delta", delta]
+        rc, out, _ = run_cli(["verify", "--record", str(d / "record.json"), *common])
+        assert rc == 0
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        rc, out, _ = run_cli(["lift", "--record", str(d / "record.json"), *common])
+        assert rc == 0
+        results = json.loads(out)["results"]
+        assert [r["target"] for r in results] == [line["target"] for line in lines]
+        assert [r["abstract"] for r in results] == [line["verdict"] for line in lines]
+        assert all(r["abstract"] == "robust" for r in results if r["lifted"] == "robust")
+
+
+def test_tampered_record_rejected(workdir, tmp_path):
+    d, _, _ = workdir
+    doc = json.loads((d / "record.json").read_text())
+    doc["abstract_network"]["layers"][0]["bias"][0] += 0.25
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        AbstractionRecord.load(tampered)
+    rc, _, _ = run_cli(
+        ["lift", "--record", str(tampered), *SYNTH, "--delta", "0", "--count", "2"]
+    )
+    assert rc == 2
 
 
 def test_bench_deterministic_modulo_timings(workdir):

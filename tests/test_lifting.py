@@ -12,11 +12,13 @@ from abstractnet import (
     Verdict,
     abstract,
     ibp_bounds,
+    check_robust,
     lift_proof,
     lifted_bounds,
     pipeline,
+    verify_and_lift,
 )
-from abstractnet.lifting import _grouped_sign_sums
+from abstractnet.lifting import _lift_operator
 from helpers import random_k_l, random_network, toy_record
 
 
@@ -63,10 +65,10 @@ def test_sign_sums_add_up_to_abstract_weights():
         X = rng.normal(size=(6, net.layer_sizes[0]))
         records.append(abstract(net, X, k_l=random_k_l(rng, net), seed=trial))
     for record in records:
-        for (wp, wn), w in zip(_grouped_sign_sums(record), record.abstract_net.weights):
-            assert wp.shape == w.shape
-            assert np.all(wp >= 0.0) and np.all(wn <= 0.0)
-            assert np.allclose(wp + wn, w, atol=1e-12)
+        for step, w in zip(_lift_operator(record).steps, record.abstract_net.weights):
+            assert step.wp.shape == w.shape
+            assert np.all(step.wp >= 0.0) and np.all(step.wn <= 0.0)
+            assert np.allclose(step.wp + step.wn, w, atol=1e-12)
 
 
 def test_mixed_sign_members_keep_slack():
@@ -233,7 +235,7 @@ def test_lift_proof_label_disagreement_is_unknown():
 def test_lifted_bounds_validation():
     record = toy_record(0.1)
     with pytest.raises(ValidationError):
-        lifted_bounds(record, np.zeros((2, 2)), 0.1)  # batches unsupported
+        lifted_bounds(record, np.zeros((2, 2, 2)), 0.1)  # neither (d,) nor (n, d)
     with pytest.raises(ValidationError):
         lifted_bounds(record, np.zeros(3), 0.1)
     with pytest.raises(ValidationError):
@@ -245,6 +247,68 @@ def test_lifted_bounds_validation():
     bad = (np.zeros(2), np.zeros(2), -np.ones(1), np.zeros(2))
     with pytest.raises(ValidationError):
         lifted_bounds(record, np.zeros(2), 0.1, epsilon_override=bad)
+
+
+def test_batched_lifted_bounds_match_per_row_calls():
+    rng = np.random.default_rng(52)
+    for trial in range(60):
+        net = random_network(rng)
+        d = net.layer_sizes[0]
+        X = rng.normal(size=(8, d))
+        record = abstract(net, X, k_l=random_k_l(rng, net), seed=trial)
+        Q = rng.normal(size=(5, d))
+        per_row = rng.uniform(0.0, 0.1, size=Q.shape)
+        for delta in (per_row, per_row[0], 0.05):
+            batched = lifted_bounds(record, Q, delta)
+            for i, x in enumerate(Q):
+                single = lifted_bounds(record, x, delta[i] if np.ndim(delta) == 2 else delta)
+                for got, want in (
+                    (batched.lower, single.lower),
+                    (batched.upper, single.upper),
+                    (batched.widening, single.widening),
+                ):
+                    for g, w in zip(got, want):
+                        row = g[i] if g.ndim == 2 else g
+                        np.testing.assert_allclose(row, w, rtol=1e-9, atol=1e-12)
+
+
+def test_verify_and_lift_matches_per_query_proofs():
+    rng = np.random.default_rng(53)
+    cases = [(toy_record(e), np.zeros((1, 2)), 1.0) for e in (0.0, 0.3, 0.5)]
+    for trial in range(40):
+        net = random_network(rng)
+        d = net.layer_sizes[0]
+        # merge at most one neuron per layer so that some lifts go through
+        k_l = {layer: max(1, net.width(layer) - 1) for layer in net.hidden_layers}
+        record = abstract(net, rng.normal(size=(8, d)), k_l=k_l, seed=trial)
+        cases.append((record, rng.normal(size=(6, d)), rng.uniform(0.0, 0.02, size=(6, d))))
+    n_lifted = n_not_lifted = 0
+    for record, X, delta in cases:
+        run = verify_and_lift(record, X, delta)
+        for i, x in enumerate(X):
+            q = RobustnessQuery(x, delta[i] if np.ndim(delta) == 2 else delta)
+            label = int(record.abstract_net.classify(x))
+            abstract_verdict = check_robust(ibp_bounds(record.abstract_net, q.x, q.delta), label)
+            lifted = abstract_verdict is Verdict.ROBUST and lift_proof(record, q) is Verdict.ROBUST
+            assert run.labels[i] == label
+            assert run.abstract_robust[i] == (abstract_verdict is Verdict.ROBUST)
+            assert run.lifted_robust[i] == lifted
+            n_lifted += lifted
+            n_not_lifted += bool(run.abstract_robust[i]) and not lifted
+    assert n_lifted > 0 and n_not_lifted > 0
+
+
+def test_pipeline_accepts_no_queries():
+    net = Network(
+        (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [-1.0, -1.0]])),
+        (np.zeros(2), np.zeros(2)),
+    )
+    inputs = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0], [-2.0, 1.0], [0.5, 0.5]])
+    ds = LabeledDataset(inputs, (inputs[:, 0] < 0).astype(int))
+    report = pipeline(net, ds, alpha=0.5, queries=[], seed=0)
+    assert report["queries"] == 0
+    assert report["results"] == []
+    assert report["abstract_robust"] == report["lifted_robust"] == 0
 
 
 def test_pipeline_report_shape():

@@ -82,6 +82,19 @@ def test_ibp_batched_matches_single():
         assert np.array_equal(batched.output_upper[i], single.output_upper)
 
 
+def test_ibp_batch_accepts_shared_and_per_row_delta():
+    net = toy_abstract_network()
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]])
+    D = np.array([[0.1, 0.0], [0.2, 0.3], [0.0, 0.05]])
+    shared = ibp_bounds(net, X, D[1])
+    per_row = ibp_bounds(net, X, D)
+    for i, x in enumerate(X):
+        for batched, d in ((shared, D[1]), (per_row, D[i])):
+            single = ibp_bounds(net, x, d)
+            assert np.array_equal(batched.output_lower[i], single.output_lower)
+            assert np.array_equal(batched.output_upper[i], single.output_upper)
+
+
 def test_ibp_relu_output_activation():
     net = toy_abstract_network()
     relu_net = type(net)(net.weights, net.biases, "relu")
@@ -98,6 +111,12 @@ def test_ibp_validation():
         ibp_bounds(net, np.zeros(2), -0.1)
     with pytest.raises(ValidationError):
         ibp_bounds(net, np.zeros(2), np.array([0.1, 0.1, 0.1]))
+    with pytest.raises(ValidationError):
+        ibp_bounds(net, np.zeros((2, 2, 2)), 0.1)  # neither (d,) nor (n, d)
+    with pytest.raises(ValidationError):
+        ibp_bounds(net, np.zeros(2), np.zeros((3, 2)))  # per-row delta for one input
+    with pytest.raises(ValidationError):
+        ibp_bounds(net, np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 def test_check_robust_strictness():
