@@ -12,11 +12,10 @@ import numpy as np
 
 from abstractnet import (
     TrainConfig,
-    abstract,
     accuracy,
-    identify_clusters,
     make_synthetic_digits,
     reduction_rate,
+    search_abstraction,
     split_dataset,
     train,
 )
@@ -34,13 +33,12 @@ print(f"trained {net.layer_sizes} net, test accuracy {test_acc:.3f}")
 
 # Cluster sizing works against a held-out part of the training data. The
 # floor is one point below test accuracy; every layer keeps the fewest
-# neurons that stay above it.
+# neurons that stay above it, merged on the other part of the data.
 alpha = test_acc - 0.01
-tune, val = split_dataset(train_ds, 0.2, seed=42)
-k_l = identify_clusters(net, tune, alpha, seed=42, val=val, X=tune.inputs)
+record = search_abstraction(net, train_ds, alpha, seed=42)
+k_l = record.k_l
 print(f"accuracy floor {alpha:.3f} -> cluster counts per hidden layer: {k_l}")
 
-record = abstract(net, tune.inputs, k_l, seed=42)
 small = record.abstract_net
 print(f"abstract net {small.layer_sizes}, reduction {reduction_rate(record) * 100:.1f}%")
 print(f"abstract test accuracy {accuracy(small, test_ds):.3f} "

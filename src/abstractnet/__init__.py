@@ -32,6 +32,7 @@ from .abstraction import (
     identify_clusters,
     merge_cluster,
     reduction_rate,
+    search_abstraction,
 )
 from .verifier import (
     LayerBounds,
@@ -82,6 +83,7 @@ __all__ = [
     "identify_clusters",
     "merge_cluster",
     "reduction_rate",
+    "search_abstraction",
     "AbstractionRecord",
     "Verdict",
     "LayerBounds",

@@ -12,9 +12,10 @@ upstream drift over the input set.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,15 +23,6 @@ from .clustering import LayerClustering, cluster_layer
 from .data import LabeledDataset, accuracy, collect_activations, split_dataset
 from .errors import FormatError, ValidationError
 from .network import Network
-
-
-def _identity_clustering(layer: int, width: int) -> LayerClustering:
-    return LayerClustering(
-        layer=layer,
-        clusters=tuple((i,) for i in range(width)),
-        representatives=tuple(range(width)),
-        epsilons=np.zeros(width),
-    )
 
 
 def _merge_layer(net: Network, layer: int, clustering: LayerClustering) -> Network:
@@ -100,7 +92,8 @@ class AbstractionRecord:
     functions of the record (and a query) alone. Construction re-derives the
     abstract network by merging the original layer by layer with the recorded
     clusterings and rejects any mismatch, so a record loaded from disk is
-    checked, not trusted.
+    checked, not trusted. ``_memo`` caches what is derived from it, such as the
+    lift operator.
     """
 
     original_net: Network
@@ -110,6 +103,7 @@ class AbstractionRecord:
     epsilon_norm: str = "l2"
     input_fingerprint: str = ""
     num_inputs: int = 0
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         orig = self.original_net
@@ -250,6 +244,46 @@ class AbstractionRecord:
             return cls.from_json(fh.read())
 
 
+def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> AbstractionRecord:
+    """The per-layer merge loop behind :func:`abstract` and :func:`search_abstraction`.
+
+    Shallow to deep, ``choose(layer, running, cluster)`` returns the clustering
+    that merges ``layer`` of the partially-merged network ``running``, or None
+    to keep it whole. ``cluster(k)`` runs k-means with seed ``seed + layer`` on
+    the layer's activations over X, collected once.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValidationError(f"X must be a non-empty (n, d) array, got shape {X.shape}")
+    if X.shape[1] != net.layer_sizes[0]:
+        raise ValidationError(
+            f"X has {X.shape[1]} features, network expects {net.layer_sizes[0]}"
+        )
+    running = net
+    clusterings = []
+    for layer in net.hidden_layers:
+        act = functools.cache(lambda: collect_activations(running, X, layer))
+        clustering = choose(
+            layer, running, lambda k: cluster_layer(act(), k, seed=seed + layer, norm=epsilon_norm)
+        )
+        if clustering is None:
+            width = running.width(layer)
+            singletons = tuple((i,) for i in range(width))
+            clustering = LayerClustering(layer, singletons, tuple(range(width)), np.zeros(width))
+        else:
+            running = _merge_layer(running, layer, clustering)
+        clusterings.append(clustering)
+    return AbstractionRecord(
+        original_net=net,
+        abstract_net=running,
+        clusterings=tuple(clusterings),
+        seed=seed,
+        epsilon_norm=epsilon_norm,
+        input_fingerprint=_fingerprint(X),
+        num_inputs=X.shape[0],
+    )
+
+
 def abstract(
     net: Network,
     X: np.ndarray,
@@ -265,13 +299,6 @@ def abstract(
     k-means seed is derived from ``seed`` and the layer index, so a run with the
     committed k values reproduces any search that used the same seed.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValidationError(f"X must be a non-empty (n, d) array, got shape {X.shape}")
-    if X.shape[1] != net.layer_sizes[0]:
-        raise ValidationError(
-            f"X has {X.shape[1]} features, network expects {net.layer_sizes[0]}"
-        )
     k_l = dict(k_l or {})
     for layer in k_l:
         if not 2 <= layer <= net.num_layers - 1:
@@ -280,27 +307,12 @@ def abstract(
             raise ValidationError(
                 f"k_l[{layer}] must be in [1, {net.width(layer)}], got {k_l[layer]}"
             )
-    running = net
-    clusterings = []
-    for layer in net.hidden_layers:
-        width = running.width(layer)
-        k = k_l.get(layer, width)
-        if k == width:
-            clustering = _identity_clustering(layer, width)
-        else:
-            act = collect_activations(running, X, layer)
-            clustering = cluster_layer(act, k, seed=seed + layer, norm=epsilon_norm)
-            running = _merge_layer(running, layer, clustering)
-        clusterings.append(clustering)
-    return AbstractionRecord(
-        original_net=net,
-        abstract_net=running,
-        clusterings=tuple(clusterings),
-        seed=seed,
-        epsilon_norm=epsilon_norm,
-        input_fingerprint=_fingerprint(X),
-        num_inputs=X.shape[0],
-    )
+
+    def choose(layer, running, cluster):
+        k = k_l.get(layer, running.width(layer))
+        return cluster(k) if k < running.width(layer) else None
+
+    return _abstract_layers(net, X, seed, epsilon_norm, choose)
 
 
 def reduction_rate(record: AbstractionRecord) -> float:
@@ -313,6 +325,58 @@ def reduction_rate(record: AbstractionRecord) -> float:
     return 1.0 - sum(abst) / total
 
 
+def search_abstraction(
+    net: Network,
+    ds: LabeledDataset,
+    alpha: float,
+    seed: int = 0,
+    epsilon_norm: str = "l2",
+    val: LabeledDataset | None = None,
+    val_fraction: float = 0.2,
+    X: np.ndarray | None = None,
+) -> AbstractionRecord:
+    """Abstract with, per hidden layer, the smallest cluster count keeping accuracy >= alpha.
+
+    Works shallow to deep: for each hidden layer a binary search over k commits
+    the smallest count whose merged network still reaches ``alpha`` accuracy on
+    a held-out validation split, then continues on the committed network. The
+    full-width k (identity) is always admissible, so a layer that tolerates no
+    merging keeps its width. The clustering tried at the committed k is the one
+    kept, so the record equals ``abstract(net, X, record.k_l, seed, epsilon_norm)``.
+
+    When ``val`` is not given, ``ds`` is split deterministically and the larger
+    part doubles as the activation-collection set. Requires ``alpha`` to be at
+    most the network's validation accuracy.
+    """
+    if val is None:
+        train_part, val = split_dataset(ds, val_fraction, seed)
+    else:
+        train_part = ds
+    base_acc = accuracy(net, val)
+    if alpha > base_acc:
+        raise ValidationError(
+            f"alpha {alpha} exceeds the network's validation accuracy {base_acc}"
+        )
+
+    def choose(layer, running, cluster):
+        if not accuracy(running, val) > alpha:
+            return None
+        best = None  # the clustering tried at hi; None while hi is the full width
+        lo, hi = 1, running.width(layer)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            candidate = cluster(mid)
+            if accuracy(_merge_layer(running, layer, candidate), val) >= alpha:
+                hi, best = mid, candidate
+            else:
+                lo = mid + 1
+        return best
+
+    return _abstract_layers(
+        net, train_part.inputs if X is None else X, seed, epsilon_norm, choose
+    )
+
+
 def identify_clusters(
     net: Network,
     ds: LabeledDataset,
@@ -323,51 +387,5 @@ def identify_clusters(
     val_fraction: float = 0.2,
     X: np.ndarray | None = None,
 ) -> dict[int, int]:
-    """Find, per hidden layer, the smallest cluster count keeping accuracy >= alpha.
-
-    Works shallow to deep: for each hidden layer a binary search over k commits
-    the smallest count whose merged network still reaches ``alpha`` accuracy on
-    a held-out validation split, then continues on the committed network. The
-    full-width k (identity) is always admissible, so a layer that tolerates no
-    merging keeps its width.
-
-    When ``val`` is not given, ``ds`` is split deterministically and the larger
-    part doubles as the activation-collection set. Requires ``alpha`` to be at
-    most the network's validation accuracy. Returns ``{layer: k}`` ready to be
-    passed to :func:`abstract` with the same seed and X.
-    """
-    if val is None:
-        train_part, val = split_dataset(ds, val_fraction, seed)
-    else:
-        train_part = ds
-    if X is None:
-        X = train_part.inputs
-    base_acc = accuracy(net, val)
-    if alpha > base_acc:
-        raise ValidationError(
-            f"alpha {alpha} exceeds the network's validation accuracy {base_acc}"
-        )
-    running = net
-    k_l: dict[int, int] = {}
-    for layer in net.hidden_layers:
-        width = running.width(layer)
-        if not accuracy(running, val) > alpha:
-            k_l[layer] = width
-            continue
-        act = collect_activations(running, X, layer)
-
-        def merged_at(k: int) -> Network:
-            clustering = cluster_layer(act, k, seed=seed + layer, norm=epsilon_norm)
-            return _merge_layer(running, layer, clustering)
-
-        lo, hi = 1, width
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if accuracy(merged_at(mid), val) >= alpha:
-                hi = mid
-            else:
-                lo = mid + 1
-        k_l[layer] = lo
-        if lo < width:
-            running = merged_at(lo)
-    return k_l
+    """The cluster counts ``{layer: k}`` that :func:`search_abstraction` commits."""
+    return search_abstraction(net, ds, alpha, seed, epsilon_norm, val, val_fraction, X).k_l

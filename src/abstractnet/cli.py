@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .abstraction import AbstractionRecord, abstract, identify_clusters, reduction_rate
+from .abstraction import AbstractionRecord, abstract, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, load_csv, load_idx, split_dataset
 from .errors import AbstractnetError, FormatError, TrainingError, ValidationError
 from .lifting import EPSILON_SCOPE_NOTE, verify_and_lift
@@ -43,11 +43,17 @@ _LOG_LEVELS = {
 }
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is at each record, so a later redirect captures logs."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+
 def _setup_logging() -> None:
     name = os.environ.get("ABSTRACTNET_LOG", "warn").strip().lower()
     root = logging.getLogger("abstractnet")
     if not root.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
         root.addHandler(handler)
     root.setLevel(_LOG_LEVELS.get(name, logging.WARNING))
@@ -232,23 +238,18 @@ def cmd_abstract(args) -> int:
     t0 = time.perf_counter()
     if args.kl is not None:
         k_l = _parse_kl(args.kl)
-        X = ds.inputs
+        record = abstract(net, ds.inputs, k_l, seed=args.seed, epsilon_norm=args.epsilon_norm)
     else:
         if args.holdout:
             train_part, val_part = split_dataset(ds, args.val_fraction, args.seed)
         else:
             train_part, val_part = ds, ds
         X = {"train": train_part.inputs, "val": val_part.inputs, "all": ds.inputs}[args.x_source]
-        k_l = identify_clusters(
-            net,
-            train_part,
-            args.alpha,
-            seed=args.seed,
-            epsilon_norm=args.epsilon_norm,
-            val=val_part,
-            X=X,
+        record = search_abstraction(
+            net, train_part, args.alpha, seed=args.seed, epsilon_norm=args.epsilon_norm,
+            val=val_part, X=X,
         )
-    record = abstract(net, X, k_l, seed=args.seed, epsilon_norm=args.epsilon_norm)
+        k_l = record.k_l
     abstract_s = time.perf_counter() - t0
 
     acc_orig = accuracy(net, ds)
@@ -373,12 +374,10 @@ def cmd_bench(args) -> int:
 
     t_start = time.perf_counter()
     train_part, val_part = split_dataset(ds, args.val_fraction, args.seed)
-    X = train_part.inputs
-    k_l = identify_clusters(
+    record = search_abstraction(
         net, train_part, args.alpha, seed=args.seed, epsilon_norm=args.epsilon_norm,
-        val=val_part, X=X,
+        val=val_part,
     )
-    record = abstract(net, X, k_l, seed=args.seed, epsilon_norm=args.epsilon_norm)
     abstract_s = time.perf_counter() - t_start
     if args.record_out:
         record.save(args.record_out)
@@ -425,7 +424,7 @@ def cmd_bench(args) -> int:
             "original_robust": sum(r["original"] == "robust" for r in results),
             "abstract_robust": sum(r["abstract"] == "robust" for r in results),
             "lifted_robust": sum(r["lifted"] == "robust" for r in results),
-            "k_l": {str(layer): k for layer, k in sorted(k_l.items())},
+            "k_l": {str(layer): k for layer, k in sorted(record.k_l.items())},
             "alpha": args.alpha,
             "delta": delta,
             "seed": args.seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ActivationMatrix
-from .errors import ValidationError
+from .errors import AbstractnetError, ValidationError
 
 EPSILON_NORMS = ("l2", "linf")
 
@@ -144,8 +144,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = KMEANS_MAX
             members = points[assign == c]
             centroids[c] = members.mean(axis=0)
         obj = _wcss(points, centroids, assign)
-        # Lloyd's updates may only improve the objective
-        assert obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)), "objective increased"
+        if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
+            raise AbstractnetError(f"k-means objective rose from {prev_obj} to {obj}")
         prev_obj = obj
     return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import logging
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractionRecord, abstract, identify_clusters, reduction_rate
+from .abstraction import AbstractionRecord, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, split_dataset
 from .errors import ValidationError
 from .network import Network, RobustnessQuery
@@ -84,18 +83,15 @@ class LiftedBounds(LayerBounds):
     widening: tuple[np.ndarray, ...] = ()
 
 
-_LIFT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _sum_per_group(m: np.ndarray, groups) -> np.ndarray:
     return np.stack([m[:, list(g)].sum(axis=1) for g in groups], axis=1)
 
 
 def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
     """Everything the lift needs from a record, built once; records are immutable."""
-    cached = _LIFT_CACHE.get(record)
-    if cached is not None:
-        return cached
+    op = record._memo.get("lift")
+    if op is not None:
+        return op
     orig = record.original_net
     L = orig.num_layers
     steps = []
@@ -136,8 +132,7 @@ def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
     epsilons = record.layer_epsilons()
     for e in epsilons:
         e.setflags(write=False)  # returned as widening where nothing is added
-    op = _LiftOperator(tuple(steps), epsilons)
-    _LIFT_CACHE[record] = op
+    op = record._memo["lift"] = _LiftOperator(tuple(steps), epsilons)
     return op
 
 
@@ -290,13 +285,11 @@ def pipeline(
     points = np.array([q.x for q in queries], dtype=np.float64).reshape(len(queries), width)
     deltas = np.array([q.delta for q in queries], dtype=np.float64).reshape(points.shape)
     train_part, val_part = split_dataset(ds, val_fraction, seed)
-    X = train_part.inputs
 
     t0 = time.perf_counter()
-    k_l = identify_clusters(
-        net, train_part, alpha, seed=seed, epsilon_norm=epsilon_norm, val=val_part, X=X
+    record = search_abstraction(
+        net, train_part, alpha, seed=seed, epsilon_norm=epsilon_norm, val=val_part
     )
-    record = abstract(net, X, k_l, seed=seed, epsilon_norm=epsilon_norm)
     t_abstract = time.perf_counter() - t0
 
     run = verify_and_lift(record, points, deltas)
@@ -317,7 +310,7 @@ def pipeline(
         "schema": 1,
         "seed": seed,
         "alpha": alpha,
-        "k_l": {str(k): v for k, v in sorted(k_l.items())},
+        "k_l": {str(k): v for k, v in sorted(record.k_l.items())},
         "reduction_rate": reduction_rate(record),
         "removed_neurons": [
             int(o - a)

@@ -41,6 +41,18 @@ def _as_vector(a, name: str) -> np.ndarray:
     return arr
 
 
+def _forward_layers(weights, biases, x: np.ndarray, relu_output: bool = False):
+    """Pre- and post-activation values of every layer, input first, on bare weight lists."""
+    pres = [x]
+    acts = [x]
+    last = len(weights) - 1
+    for j, (w, b) in enumerate(zip(weights, biases)):
+        h = acts[-1] @ w.T + b
+        pres.append(h)
+        acts.append(np.maximum(h, 0.0) if j < last or relu_output else h)
+    return pres, acts
+
+
 @dataclass(frozen=True, eq=False)
 class LayerTrace:
     """Per-layer values of one forward pass.
@@ -132,18 +144,9 @@ class Network:
 
         Accepts a single input (n_1,) or a batch (n_samples, n_1).
         """
-        z = self._check_input(x)
-        pres = [z]
-        acts = [z]
-        last = len(self.weights) - 1
-        for j, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = acts[-1] @ w.T + b
-            if j < last or self.output_activation == "relu":
-                a = np.maximum(h, 0.0)
-            else:
-                a = h
-            pres.append(h)
-            acts.append(a)
+        pres, acts = _forward_layers(
+            self.weights, self.biases, self._check_input(x), self.output_activation == "relu"
+        )
         return LayerTrace(tuple(pres), tuple(acts))
 
     def forward(self, x) -> np.ndarray:

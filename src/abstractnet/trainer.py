@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import LabeledDataset, split_dataset
 from .errors import TrainingError, ValidationError
-from .network import Network
+from .network import Network, _forward_layers
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -65,17 +65,6 @@ def init_network(layer_sizes, seed: int = 0) -> Network:
     return Network(tuple(ws), tuple(bs), output_activation="identity")
 
 
-def _forward_cache(ws, bs, x):
-    pres = []
-    acts = [x]
-    last = len(ws) - 1
-    for j, (w, b) in enumerate(zip(ws, bs)):
-        h = acts[-1] @ w.T + b
-        pres.append(h)
-        acts.append(np.maximum(h, 0.0) if j < last else h)
-    return pres, acts
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -87,7 +76,7 @@ def _ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _loss_and_grads_raw(ws, bs, x, y):
-    pres, acts = _forward_cache(ws, bs, x)
+    pres, acts = _forward_layers(ws, bs, x)
     logits = pres[-1]
     loss = _ce_loss(logits, y)
     batch = x.shape[0]
@@ -100,7 +89,7 @@ def _loss_and_grads_raw(ws, bs, x, y):
         dws[j] = g.T @ acts[j]
         dbs[j] = g.sum(axis=0)
         if j > 0:
-            g = (g @ ws[j]) * (pres[j - 1] > 0)
+            g = (g @ ws[j]) * (pres[j] > 0)
     return loss, dws, dbs
 
 
@@ -138,13 +127,12 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
         return net0
     ws = [w.copy() for w in net0.weights]
     bs = [b.copy() for b in net0.biases]
+    params = ws + bs  # the same arrays, updated in place
     train_part, val_part = split_dataset(ds, cfg.val_fraction, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     if cfg.optimizer == "adam":
-        m_w = [np.zeros_like(w) for w in ws]
-        v_w = [np.zeros_like(w) for w in ws]
-        m_b = [np.zeros_like(b) for b in bs]
-        v_b = [np.zeros_like(b) for b in bs]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
         t = 0
     best_val = np.inf
     stale = 0
@@ -155,26 +143,21 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
             loss, dws, dbs = _loss_and_grads_raw(ws, bs, train_part.inputs[idx], train_part.labels[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)
+            grads = dws + dbs
             if cfg.optimizer == "sgd":
-                for j in range(len(ws)):
-                    ws[j] -= cfg.learning_rate * dws[j]
-                    bs[j] -= cfg.learning_rate * dbs[j]
+                for p, g in zip(params, grads):
+                    p -= cfg.learning_rate * g
             else:
                 t += 1
                 bc1 = 1.0 - cfg.beta1**t
                 bc2 = 1.0 - cfg.beta2**t
-                for j in range(len(ws)):
-                    m_w[j] = cfg.beta1 * m_w[j] + (1 - cfg.beta1) * dws[j]
-                    v_w[j] = cfg.beta2 * v_w[j] + (1 - cfg.beta2) * dws[j] ** 2
-                    ws[j] -= cfg.learning_rate * (m_w[j] / bc1) / (np.sqrt(v_w[j] / bc2) + cfg.adam_epsilon)
-                    m_b[j] = cfg.beta1 * m_b[j] + (1 - cfg.beta1) * dbs[j]
-                    v_b[j] = cfg.beta2 * v_b[j] + (1 - cfg.beta2) * dbs[j] ** 2
-                    bs[j] -= cfg.learning_rate * (m_b[j] / bc1) / (np.sqrt(v_b[j] / bc2) + cfg.adam_epsilon)
-            if any(not np.all(np.isfinite(w)) for w in ws) or any(
-                not np.all(np.isfinite(b)) for b in bs
-            ):
+                for i, (p, g) in enumerate(zip(params, grads)):
+                    m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+                    v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g**2
+                    p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.adam_epsilon)
+            if any(not np.all(np.isfinite(p)) for p in params):
                 raise TrainingError(f"parameters diverged at epoch {epoch}", epoch=epoch)
-        val_logits = _forward_cache(ws, bs, val_part.inputs)[0][-1]
+        val_logits = _forward_layers(ws, bs, val_part.inputs)[0][-1]
         val_loss = _ce_loss(val_logits, val_part.labels)
         if not np.isfinite(val_loss):
             raise TrainingError(f"validation loss diverged at epoch {epoch}", epoch=epoch)

@@ -16,6 +16,7 @@ from abstractnet import (
     identify_clusters,
     merge_cluster,
     reduction_rate,
+    search_abstraction,
 )
 from helpers import random_network, toy_abstract_network, toy_original_network, toy_record
 
@@ -282,3 +283,22 @@ def test_identify_clusters_admissibility_property():
         assert set(k_l) == {2, 3}
         record = abstract(net, ds.inputs, k_l=k_l, seed=trial)
         assert accuracy(record.abstract_net, ds) >= alpha
+
+
+def test_search_record_equals_abstract_at_its_k_l():
+    # the search keeps the clustering it tried at each committed k, so its
+    # record is the one abstract() builds from the committed counts
+    rng = np.random.default_rng(8)
+    merged = 0
+    for trial in range(120):
+        net = random_network(rng)
+        X = rng.normal(size=(int(rng.integers(8, 40)), net.layer_sizes[0]))
+        ds = LabeledDataset(X, np.asarray(net.classify(X)))
+        norm = ("l2", "linf")[trial % 2]
+        alpha = float(rng.uniform(0.3, 0.95))
+        record = search_abstraction(net, ds, alpha, seed=trial, epsilon_norm=norm, val=ds)
+        again = abstract(net, X, record.k_l, seed=trial, epsilon_norm=norm)
+        assert record.to_json() == again.to_json()
+        assert record.k_l == identify_clusters(net, ds, alpha, trial, norm, val=ds)
+        merged += reduction_rate(record) > 0
+    assert merged >= 60

@@ -25,7 +25,6 @@ from abstractnet import (
     check_robust,
     clustering_error,
     ibp_bounds,
-    identify_clusters,
     init_network,
     lift_proof,
     lifted_bounds,
@@ -35,6 +34,7 @@ from abstractnet import (
     pipeline,
     reduction_rate,
     robust_mask,
+    search_abstraction,
     split_dataset,
     total_error,
     train,
@@ -241,10 +241,12 @@ def desk_setup():
     test_acc = accuracy(net, test_ds)
     alpha = test_acc - 0.01
     tp, vp = split_dataset(train_ds, 0.2, 42)
-    k_l = identify_clusters(net, tp, alpha, seed=42, val=vp, X=tp.inputs)
-    record = abstract(net, tp.inputs, k_l, seed=42)
+    record = search_abstraction(net, tp, alpha, seed=42, val=vp, X=tp.inputs)
+    k_l = record.k_l
     return {
         "net": net,
+        "tune": tp,
+        "val": vp,
         "record": record,
         "test_ds": test_ds,
         "test_acc": test_acc,
@@ -278,6 +280,19 @@ def test_criterion_5_desk_scale_reduction(desk_setup):
     assert red > 0.05
     assert drop_pts <= 1.5
     assert elapsed < 900.0
+
+
+def test_desk_search_record_equals_abstract_at_its_k_l(desk_setup):
+    s = desk_setup
+    linf = search_abstraction(
+        s["net"], s["tune"], s["alpha"], seed=42, epsilon_norm="linf", val=s["val"]
+    )
+    for record in (s["record"], linf):
+        again = abstract(
+            s["net"], s["tune"].inputs, record.k_l, seed=42, epsilon_norm=record.epsilon_norm
+        )
+        assert record.to_json() == again.to_json()
+        assert reduction_rate(record) > 0
 
 
 def test_criterion_6_verification_speed_and_lifting(desk_setup):

@@ -80,6 +80,24 @@ def test_abstract_requires_exactly_one_sizing(workdir):
     assert run_cli([*base, "--alpha", "1.5"])[0] == 2  # above any accuracy
 
 
+def test_alpha_record_equals_kl_record(workdir, tmp_path):
+    # with --x-source all --no-holdout the search collects activations on the
+    # same rows as --kl, so the record it built is the --kl record at its k_l
+    d, train_report, _ = workdir
+    base = ["abstract", "--net", str(d / "net.json"), *SYNTH, "--seed", "3",
+            "--epsilon-norm", "linf"]
+    alpha = str(train_report["accuracy"] - 0.05)
+    rc, out, _ = run_cli([*base, "--alpha", alpha, "--x-source", "all", "--no-holdout",
+                          "--out", str(tmp_path / "alpha.json")])
+    assert rc == 0
+    report = json.loads(out)
+    assert report["k_l"]["2"] < 16
+    kl = ",".join(f"{layer}:{k}" for layer, k in report["k_l"].items())
+    rc, _, _ = run_cli([*base, "--kl", kl, "--out", str(tmp_path / "kl.json")])
+    assert rc == 0
+    assert (tmp_path / "alpha.json").read_bytes() == (tmp_path / "kl.json").read_bytes()
+
+
 def test_verify_emits_one_json_line_per_query(workdir):
     d, _, _ = workdir
     rc, out, _ = run_cli(
@@ -246,6 +264,14 @@ def test_missing_and_malformed_files(workdir, tmp_path):
     garbage.write_text("{broken")
     rc, _, _ = run_cli(["verify", "--net", str(garbage), *SYNTH, "--delta", "0.1"])
     assert rc == 2
+
+
+def test_each_redirected_stderr_gets_the_error(tmp_path):
+    argv = ["verify", "--net", str(tmp_path / "absent.json"), *SYNTH, "--delta", "0.1"]
+    for _ in range(2):
+        rc, _, err = run_cli(argv)
+        assert rc == 2
+        assert "absent.json" in err
 
 
 def test_training_divergence_exit_code():

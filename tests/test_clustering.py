@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+import abstractnet.clustering
 from abstractnet import (
+    AbstractnetError,
     ActivationMatrix,
     LayerClustering,
     ValidationError,
@@ -88,6 +90,14 @@ def test_kmeans_validates_k():
             kmeans(points, bad)
     with pytest.raises(ValidationError):
         kmeans(np.zeros((0, 2)), 1)
+
+
+def test_kmeans_raises_when_objective_rises(monkeypatch):
+    objectives = iter(range(1000))
+    monkeypatch.setattr(abstractnet.clustering, "_wcss", lambda *args: float(next(objectives)))
+    points = np.random.default_rng(5).normal(size=(60, 3))
+    with pytest.raises(AbstractnetError, match="objective rose"):
+        kmeans(points, 6, seed=0)
 
 
 def test_pick_representative_middle_point():

@@ -65,6 +65,7 @@ def test_sign_sums_add_up_to_abstract_weights():
         X = rng.normal(size=(6, net.layer_sizes[0]))
         records.append(abstract(net, X, k_l=random_k_l(rng, net), seed=trial))
     for record in records:
+        assert _lift_operator(record) is _lift_operator(record)  # built once per record
         for step, w in zip(_lift_operator(record).steps, record.abstract_net.weights):
             assert step.wp.shape == w.shape
             assert np.all(step.wp >= 0.0) and np.all(step.wn <= 0.0)
