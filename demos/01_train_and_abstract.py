@@ -35,7 +35,8 @@ print(f"trained {net.layer_sizes} net, test accuracy {test_acc:.3f}")
 # floor is one point below test accuracy; every layer keeps the fewest
 # neurons that stay above it, merged on the other part of the data.
 alpha = test_acc - 0.01
-record = search_abstraction(net, train_ds, alpha, seed=42)
+tune_ds, val_ds = split_dataset(train_ds, 0.2, seed=42)
+record = search_abstraction(net, tune_ds, alpha, seed=42, val=val_ds)
 k_l = record.k_l
 print(f"accuracy floor {alpha:.3f} -> cluster counts per hidden layer: {k_l}")
 

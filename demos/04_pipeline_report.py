@@ -29,6 +29,7 @@ from abstractnet import (
     pipeline,
     robust_mask,
     search_abstraction,
+    split_dataset,
     train,
 )
 
@@ -58,7 +59,8 @@ print(f"abstract proofs: {report['abstract_robust']}/{report['queries']}, "
 # Wall-clock: the abstract net answers the same queries faster simply by
 # being smaller. With the pipeline's seed and default split, the search
 # returns the record the pipeline verified on; time both nets, best of 5.
-record = search_abstraction(wide, ds, alpha=acc - 0.01, seed=3)
+tune, val = split_dataset(ds, 0.2, seed=3)
+record = search_abstraction(wide, tune, alpha=acc - 0.01, seed=3, val=val)
 X = np.stack([q.x for q in queries])
 
 

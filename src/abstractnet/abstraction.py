@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import LayerClustering, cluster_layer
-from .data import LabeledDataset, accuracy, collect_activations, split_dataset
+from .data import LabeledDataset, accuracy, collect_activations
 from .errors import FormatError, ValidationError
 from .network import Network
 
@@ -41,8 +41,7 @@ def _merge_layer(net: Network, layer: int, clustering: LayerClustering) -> Netwo
     reps = list(clustering.representatives)
     ws[j_in] = ws[j_in][reps, :]
     bs[j_in] = bs[j_in][reps]
-    cols = [ws[j_out][:, list(members)].sum(axis=1) for members in clustering.clusters]
-    ws[j_out] = np.stack(cols, axis=1)
+    ws[j_out] = clustering.sum_columns(ws[j_out])
     return Network(tuple(ws), tuple(bs), net.output_activation)
 
 
@@ -180,8 +179,8 @@ class AbstractionRecord:
     def to_json(self) -> str:
         doc = {
             "schema": 1,
-            "abstract_network": json.loads(self.abstract_net.to_json()),
-            "original_network": json.loads(self.original_net.to_json()),
+            "abstract_network": self.abstract_net.to_dict(),
+            "original_network": self.original_net.to_dict(),
             "layers": [
                 {
                     "layer": cl.layer,
@@ -331,27 +330,23 @@ def search_abstraction(
     alpha: float,
     seed: int = 0,
     epsilon_norm: str = "l2",
-    val: LabeledDataset | None = None,
-    val_fraction: float = 0.2,
+    *,
+    val: LabeledDataset,
     X: np.ndarray | None = None,
 ) -> AbstractionRecord:
     """Abstract with, per hidden layer, the smallest cluster count keeping accuracy >= alpha.
 
     Works shallow to deep: for each hidden layer a binary search over k commits
     the smallest count whose merged network still reaches ``alpha`` accuracy on
-    a held-out validation split, then continues on the committed network. The
-    full-width k (identity) is always admissible, so a layer that tolerates no
-    merging keeps its width. The clustering tried at the committed k is the one
-    kept, so the record equals ``abstract(net, X, record.k_l, seed, epsilon_norm)``.
+    the held-out validation set ``val``, then continues on the committed
+    network. The full-width k (identity) is always admissible, so a layer that
+    tolerates no merging keeps its width. The clustering tried at the committed
+    k is the one kept, so the record equals
+    ``abstract(net, X, record.k_l, seed, epsilon_norm)``.
 
-    When ``val`` is not given, ``ds`` is split deterministically and the larger
-    part doubles as the activation-collection set. Requires ``alpha`` to be at
-    most the network's validation accuracy.
+    Activations are collected on ``X``, by default the inputs of ``ds``.
+    Requires ``alpha`` to be at most the network's validation accuracy.
     """
-    if val is None:
-        train_part, val = split_dataset(ds, val_fraction, seed)
-    else:
-        train_part = ds
     base_acc = accuracy(net, val)
     if alpha > base_acc:
         raise ValidationError(
@@ -372,9 +367,7 @@ def search_abstraction(
                 lo = mid + 1
         return best
 
-    return _abstract_layers(
-        net, train_part.inputs if X is None else X, seed, epsilon_norm, choose
-    )
+    return _abstract_layers(net, ds.inputs if X is None else X, seed, epsilon_norm, choose)
 
 
 def identify_clusters(
@@ -383,9 +376,9 @@ def identify_clusters(
     alpha: float,
     seed: int = 0,
     epsilon_norm: str = "l2",
-    val: LabeledDataset | None = None,
-    val_fraction: float = 0.2,
+    *,
+    val: LabeledDataset,
     X: np.ndarray | None = None,
 ) -> dict[int, int]:
     """The cluster counts ``{layer: k}`` that :func:`search_abstraction` commits."""
-    return search_abstraction(net, ds, alpha, seed, epsilon_norm, val, val_fraction, X).k_l
+    return search_abstraction(net, ds, alpha, seed, epsilon_norm, val=val, X=X).k_l

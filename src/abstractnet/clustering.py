@@ -77,6 +77,10 @@ class LayerClustering:
             dtype=np.float64,
         )
 
+    def sum_columns(self, m: np.ndarray) -> np.ndarray:
+        """Per cluster, the sum of ``m``'s columns over its members (merged outgoing weights)."""
+        return np.stack([m[:, list(members)].sum(axis=1) for members in self.clusters], axis=1)
+
 
 def _wcss(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
     diffs = points - centroids[assign]
@@ -101,13 +105,14 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = KMEANS_MAX_ITER):
+def kmeans(points: np.ndarray, k: int, seed: int = 0):
     """Lloyd's algorithm on rows of ``points``; returns k lists of row indices.
 
     Deterministic for a fixed seed. Stops when assignments no longer change or
-    after ``max_iter`` iterations. Empty clusters are repaired by stealing the
-    point currently farthest from its own centroid. Duplicate rows are fine:
-    with more clusters than distinct rows, some clusters end up sharing a value.
+    after ``KMEANS_MAX_ITER`` iterations. Empty clusters are repaired by
+    stealing the point currently farthest from its own centroid. Duplicate rows
+    are fine: with more clusters than distinct rows, some clusters end up
+    sharing a value.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -121,7 +126,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = KMEANS_MAX
     centroids = _kmeans_pp_init(points, k, rng)
     assign = np.full(n, -1, dtype=np.int64)
     prev_obj = np.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = (
             np.sum(points * points, axis=1)[:, None]
             - 2.0 * points @ centroids.T

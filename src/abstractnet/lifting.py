@@ -1,12 +1,14 @@
 """Lifting interval certificates from the abstract network to the original.
 
 The abstract network's own interval bounds say nothing about the deleted
-neurons. To recover bounds that also enclose the original network, the
-recurrence widens each merged layer's interval by a per-cluster radius and
-propagates through per-cluster sums of the positive parts and of the negative
-parts of the original outgoing columns. Summing before splitting signs would
-let a +w/-w pair cancel to zero and erase the slack, so the split happens per
-member column.
+neurons. To recover bounds that also enclose the original network, the lift
+runs the verifier's interval loop on the abstract network with two changes:
+each merged layer's interval is widened by a per-cluster radius, and each
+layer is applied through per-cluster sums of the positive parts and of the
+negative parts of the original outgoing columns. Summing before splitting
+signs would let a +w/-w pair cancel to zero and erase the slack, so the split
+happens per member column. This module builds that lift operator from a
+record; the loop itself is :func:`abstractnet.verifier._interval_pass`.
 
 The radius of a cluster is the larger of two numbers. The recorded epsilon is
 measured on the activation-collection input set X. The box epsilon bounds, by
@@ -30,7 +32,8 @@ from .data import LabeledDataset, accuracy, split_dataset
 from .errors import ValidationError
 from .network import Network, RobustnessQuery
 from .verifier import (
-    LayerBounds, Verdict, _box, _verdict_value, check_robust, ibp_bounds, robust_mask
+    LayerBounds, Verdict, _box, _interval_pass, _IntervalStep, _verdict_value, check_robust,
+    ibp_bounds, robust_mask,
 )
 
 log = logging.getLogger(__name__)
@@ -44,28 +47,15 @@ EPSILON_SCOPE_NOTE = (
 
 
 @dataclass(frozen=True, eq=False)
-class _LiftStep:
-    """One layer transition of the lift, abstract layer j+1 to abstract layer j+2.
+class _LiftOperator:
+    """One interval step per layer and the recorded epsilons (abstract-indexed, 1..L).
 
-    ``wp``/``wn``: original weight columns sign-split, then summed per source
-    cluster; rows restricted to the destination layer's representatives.
-    ``dp``/``dn``/``db``: the same for the difference rows W_m - W_rep and the
-    bias differences b_m - b_rep, one row per non-representative member m of
-    the destination layer. ``owner`` is the abstract cluster index of each
-    difference row.
+    A step's weights are the original's, sign-split, summed per source cluster
+    and restricted to the representatives' rows; its members are the other
+    neurons of the destination layer.
     """
 
-    wp: np.ndarray
-    wn: np.ndarray
-    dp: np.ndarray
-    dn: np.ndarray
-    db: np.ndarray
-    owner: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class _LiftOperator:
-    steps: tuple[_LiftStep, ...]
+    steps: tuple[_IntervalStep, ...]
     epsilons: tuple[np.ndarray, ...]
 
 
@@ -83,52 +73,35 @@ class LiftedBounds(LayerBounds):
     widening: tuple[np.ndarray, ...] = ()
 
 
-def _sum_per_group(m: np.ndarray, groups) -> np.ndarray:
-    return np.stack([m[:, list(g)].sum(axis=1) for g in groups], axis=1)
-
-
 def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
     """Everything the lift needs from a record, built once; records are immutable."""
     op = record._memo.get("lift")
     if op is not None:
         return op
     orig = record.original_net
-    L = orig.num_layers
+    clusterings = (None, *record.clusterings, None)  # per layer 1..L
     steps = []
-    for j, (w, b) in enumerate(zip(orig.weights, orig.biases)):
-        src_layer = j + 1
-        dst_layer = j + 2
-        reps = slice(None)
-        others: list[int] = []
-        others_rep: list[int] = []
-        owner: list[int] = []
-        if 2 <= dst_layer <= L - 1:
-            cl = record.clustering_for(dst_layer)
-            reps = list(cl.representatives)
-            for c, (rep, members) in enumerate(zip(cl.representatives, cl.clusters)):
-                for m in members:
-                    if m != rep:
-                        others.append(m)
-                        others_rep.append(rep)
-                        owner.append(c)
-        d = w[others, :] - w[others_rep, :]
+    for w, b, b_abs, src, dst in zip(
+        orig.weights, orig.biases, record.abstract_net.biases, clusterings, clusterings[1:]
+    ):
         wp, wn = np.maximum(w, 0.0), np.minimum(w, 0.0)
-        dp, dn = np.maximum(d, 0.0), np.minimum(d, 0.0)
-        if 2 <= src_layer <= L - 1:
-            groups = record.clustering_for(src_layer).clusters
-            wp, wn = _sum_per_group(wp, groups), _sum_per_group(wn, groups)
-            if others:
-                dp, dn = _sum_per_group(dp, groups), _sum_per_group(dn, groups)
-        steps.append(
-            _LiftStep(
-                wp=wp[reps, :],
-                wn=wn[reps, :],
-                dp=dp,
-                dn=dn,
-                db=b[others] - b[others_rep],
-                owner=np.asarray(owner, dtype=np.int64),
-            )
-        )
+        if src is not None:
+            wp, wn = src.sum_columns(wp), src.sum_columns(wn)
+        if dst is None:
+            steps.append(_IntervalStep(wp, wn, b_abs))
+            continue
+        cluster_of = dst.neuron_map()
+        rep_of = np.asarray(dst.representatives, dtype=np.int64)[cluster_of]
+        others = np.flatnonzero(rep_of != np.arange(dst.num_neurons))
+        members = {}
+        if others.size:
+            d = w[others, :] - w[rep_of[others], :]
+            dp, dn = np.maximum(d, 0.0), np.minimum(d, 0.0)
+            if src is not None:
+                dp, dn = src.sum_columns(dp), src.sum_columns(dn)
+            members = dict(dp=dp, dn=dn, db=b[others] - b[rep_of[others]], owner=cluster_of[others])
+        reps = list(dst.representatives)
+        steps.append(_IntervalStep(wp[reps, :], wn[reps, :], b_abs, **members))
     epsilons = record.layer_epsilons()
     for e in epsilons:
         e.setflags(write=False)  # returned as widening where nothing is added
@@ -136,9 +109,7 @@ def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
     return op
 
 
-def lifted_bounds(
-    record: AbstractionRecord, x, delta, epsilon_override=None
-) -> LiftedBounds:
+def lifted_bounds(record: AbstractionRecord, x, delta) -> LiftedBounds:
     """Interval bounds on the abstract network that also enclose the original.
 
     ``x`` and ``delta`` are taken as by :func:`ibp_bounds`: one query (d,) or
@@ -149,49 +120,15 @@ def lifted_bounds(
     widening applied at each layer is returned as ``widening`` (one
     abstract-indexed entry per layer 1..L), and every original neuron's
     interval bound over the box lies inside its cluster's
-    ``[lower - widening, upper + widening]``.
-
-    ``epsilon_override`` replaces the record's recorded epsilons (one
-    abstract-indexed vector per layer 1..L); the box epsilon is still added
-    on top. Larger epsilons only widen the bounds.
+    ``[lower - widening, upper + widening]``. Larger recorded epsilons only
+    widen the bounds.
     """
     abstract_net = record.abstract_net
     lo, up = _box(abstract_net, x, delta)
     op = _lift_operator(record)
-    if epsilon_override is None:
-        eps = op.epsilons
-    else:
-        eps = tuple(np.asarray(e, dtype=np.float64) for e in epsilon_override)
-        sizes = abstract_net.layer_sizes
-        if len(eps) != len(sizes) or any(
-            e.shape != (s,) for e, s in zip(eps, sizes)
-        ):
-            raise ValidationError("epsilon_override must give one vector per layer")
-        if any(np.any(e < 0) for e in eps):
-            raise ValidationError("epsilons must be non-negative")
-    lows = [lo]
-    ups = [up]
-    widening = [eps[0]]
-    last = len(abstract_net.weights) - 1
-    for j, (step, b) in enumerate(zip(op.steps, abstract_net.biases)):
-        e_src = widening[-1]
-        hi = ups[-1] + e_src
-        lo = lows[-1] - e_src
-        new_up = hi @ step.wp.T + lo @ step.wn.T + b
-        new_lo = lo @ step.wp.T + hi @ step.wn.T + b
-        if j < last or abstract_net.output_activation == "relu":
-            new_up = np.maximum(new_up, 0.0)
-            new_lo = np.maximum(new_lo, 0.0)
-        e_dst = eps[j + 1]
-        if step.owner.size:
-            gap_up = hi @ step.dp.T + lo @ step.dn.T + step.db
-            gap_lo = lo @ step.dp.T + hi @ step.dn.T + step.db
-            gap = np.maximum(np.abs(gap_up), np.abs(gap_lo))
-            e_dst = np.broadcast_to(e_dst, new_up.shape).copy()
-            np.maximum.at(e_dst.T, step.owner, gap.T)
-        lows.append(new_lo)
-        ups.append(new_up)
-        widening.append(e_dst)
+    lows, ups, widening = _interval_pass(
+        op.steps, abstract_net.output_activation == "relu", lo, up, op.epsilons
+    )
     return LiftedBounds(tuple(lows), tuple(ups), tuple(widening))
 
 

@@ -157,8 +157,9 @@ class Network:
         """Argmax label(s); ties resolve to the lowest index."""
         return np.argmax(self.forward(x), axis=-1)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The network's JSON document; the inverse of :meth:`from_dict`."""
+        return {
             "layer_sizes": list(self.layer_sizes),
             "layers": [
                 {"weights": w.tolist(), "bias": b.tolist()}
@@ -166,7 +167,9 @@ class Network:
             ],
             "output_activation": self.output_activation,
         }
-        return json.dumps(doc)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -217,7 +220,6 @@ class RobustnessQuery:
 
     x: np.ndarray
     delta: np.ndarray
-    label: int | None = None
 
     def __post_init__(self):
         x = _as_vector(self.x, "x")

@@ -17,6 +17,9 @@ from .errors import TrainingError, ValidationError
 from .network import Network, _forward_layers
 
 OPTIMIZERS = ("sgd", "adam")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-7
 
 
 @dataclass(frozen=True)
@@ -26,9 +29,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-7
     patience: int = 3
     val_fraction: float = 0.1
     seed: int = 0
@@ -149,12 +149,12 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
                     p -= cfg.learning_rate * g
             else:
                 t += 1
-                bc1 = 1.0 - cfg.beta1**t
-                bc2 = 1.0 - cfg.beta2**t
+                bc1 = 1.0 - ADAM_BETA1**t
+                bc2 = 1.0 - ADAM_BETA2**t
                 for i, (p, g) in enumerate(zip(params, grads)):
-                    m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
-                    v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g**2
-                    p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.adam_epsilon)
+                    m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+                    v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+                    p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + ADAM_EPSILON)
             if any(not np.all(np.isfinite(p)) for p in params):
                 raise TrainingError(f"parameters diverged at epoch {epoch}", epoch=epoch)
         val_logits = _forward_layers(ws, bs, val_part.inputs)[0][-1]

@@ -1,9 +1,13 @@
 """Interval bound propagation and robustness verdicts.
 
-Bounds are propagated through each affine layer by splitting the weight matrix
-into its positive and negative parts, then clamped at zero by ReLU on hidden
-layers. The output layer follows the network's output activation, so bounds
-always enclose the network's actual outputs over the input box.
+One loop, :func:`_interval_pass`, pushes an interval through each affine layer
+and its activation, for the original, the abstract and the lifted networks.
+Each affine layer is applied through the positive and the negative parts of
+its weights; hidden layers are clamped at zero by ReLU, and the output layer
+follows the network's output activation, so bounds always enclose the
+network's actual outputs over the input box. Plain interval bound
+propagation (:func:`ibp_bounds`) is the lift of an unmerged network: no
+merged-away members and no widening.
 
 Verdicts are deliberately three-valued: interval analysis can prove robustness
 (strict margin between the target's lower bound and every competitor's upper
@@ -71,6 +75,55 @@ def _box(net: Network, x, delta):
     return x - d, x + d
 
 
+@dataclass(frozen=True, eq=False)
+class _IntervalStep:
+    """One affine layer: the positive and negative parts of its weights, its bias.
+
+    A layer with merged-away members m also has ``dp``/``dn``/``db``, the same
+    for the rows W_m - W_rep and b_m - b_rep, and ``owner``, m's cluster.
+    """
+
+    wp: np.ndarray
+    wn: np.ndarray
+    b: np.ndarray
+    dp: np.ndarray | None = None
+    dn: np.ndarray | None = None
+    db: np.ndarray | None = None
+    owner: np.ndarray | None = None
+
+
+def _interval_pass(steps, relu_output: bool, lo, up, epsilons):
+    """Lower, upper and widening per layer, from the box [lo, up] through ``steps``.
+
+    ``epsilons`` gives each layer's widening, input first (None: not widened).
+    A layer's interval is widened before it feeds the next layer, and the
+    widening of a layer with merged-away members is raised, per cluster, to
+    the interval bound of |(W_m - W_rep) a + (b_m - b_rep)| over the widened
+    input a.
+    """
+    lows, ups, widening = [lo], [up], [epsilons[0]]
+    last = len(steps) - 1
+    for j, step in enumerate(steps):
+        e = widening[-1]
+        hi, lo = (ups[-1], lows[-1]) if e is None else (ups[-1] + e, lows[-1] - e)
+        new_up = hi @ step.wp.T + lo @ step.wn.T + step.b
+        new_lo = lo @ step.wp.T + hi @ step.wn.T + step.b
+        if j < last or relu_output:
+            new_up = np.maximum(new_up, 0.0)
+            new_lo = np.maximum(new_lo, 0.0)
+        e = epsilons[j + 1]
+        if step.owner is not None:
+            gap_up = hi @ step.dp.T + lo @ step.dn.T + step.db
+            gap_lo = lo @ step.dp.T + hi @ step.dn.T + step.db
+            gap = np.maximum(np.abs(gap_up), np.abs(gap_lo))
+            e = np.broadcast_to(e, new_up.shape).copy()
+            np.maximum.at(e.T, step.owner, gap.T)
+        lows.append(new_lo)
+        ups.append(new_up)
+        widening.append(e)
+    return lows, ups, widening
+
+
 def ibp_bounds(net: Network, x, delta) -> LayerBounds:
     """Interval bounds for every layer over the box [x - delta, x + delta].
 
@@ -79,19 +132,12 @@ def ibp_bounds(net: Network, x, delta) -> LayerBounds:
     bounds collapse to the forward trace up to float round-off.
     """
     lo, up = _box(net, x, delta)
-    lows = [lo]
-    ups = [up]
-    last = len(net.weights) - 1
-    for j, (w, b) in enumerate(zip(net.weights, net.biases)):
-        wp = np.maximum(w, 0.0)
-        wn = np.minimum(w, 0.0)
-        new_up = ups[-1] @ wp.T + lows[-1] @ wn.T + b
-        new_lo = lows[-1] @ wp.T + ups[-1] @ wn.T + b
-        if j < last or net.output_activation == "relu":
-            new_up = np.maximum(new_up, 0.0)
-            new_lo = np.maximum(new_lo, 0.0)
-        lows.append(new_lo)
-        ups.append(new_up)
+    steps = [
+        _IntervalStep(np.maximum(w, 0.0), np.minimum(w, 0.0), b)
+        for w, b in zip(net.weights, net.biases)
+    ]
+    relu_output = net.output_activation == "relu"
+    lows, ups, _ = _interval_pass(steps, relu_output, lo, up, (None,) * net.num_layers)
     return LayerBounds(tuple(lows), tuple(ups))
 
 

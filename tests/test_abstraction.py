@@ -192,6 +192,30 @@ def test_record_json_round_trip():
     assert back.input_fingerprint == record.input_fingerprint
 
 
+def test_record_json_bytes_are_pinned():
+    # the bytes a record is saved as; the networks are serialized once, not
+    # dumped, parsed and dumped again
+    record = toy_record(0.25)
+    assert record.to_json() == (
+        '{"schema": 1, "abstract_network": {"layer_sizes": [2, 2, 1, 2], "layers": '
+        '[{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, '
+        '1.0]], "bias": [0.0]}, {"weights": [[2.0], [1.0]], "bias": [5.0, 0.0]}], '
+        '"output_activation": "identity"}, "original_network": {"layer_sizes": [2, 2, 2, 2], '
+        '"layers": [{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": '
+        '[[1.0, 1.0], [1.0, 1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, 1.0], [0.0, '
+        '1.0]], "bias": [5.0, 0.0]}], "output_activation": "identity"}, "layers": [{"layer": '
+        '2, "clusters": [[0], [1]], "representatives": [0, 1], "epsilon": [0.0, 0.0]}, '
+        '{"layer": 3, "clusters": [[0, 1]], "representatives": [0], "epsilon": [0.0, '
+        '0.25]}], "provenance": {"k_l": {"2": 2, "3": 1}, "seed": 0, "epsilon_norm": "l2", '
+        '"input_fingerprint": '
+        '"sha256:bc4a99bf0583c9b2ca22ff043820c4a78cb0c9099abe8a7ae350e00d601503a7", '
+        '"num_inputs": 2}}'
+    )
+    assert json.loads(record.to_json())["original_network"] == record.original_net.to_dict()
+    net = record.abstract_net
+    assert Network.from_dict(net.to_dict()).to_json() == net.to_json()
+
+
 def test_record_save_load(tmp_path):
     record = toy_record(0.5)
     path = tmp_path / "record.json"

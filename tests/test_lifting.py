@@ -1,5 +1,7 @@
 """Lifted interval certificates and the end-to-end pipeline report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -43,18 +45,20 @@ def test_lifted_verdict_threshold():
 
 
 def test_lifted_zero_epsilon_matches_plain_ibp():
-    # with nothing merged the record's epsilons are zero and the grouped
-    # sign sums are exactly the abstract net's split weights
+    # with nothing merged the record's epsilons are zero, no layer has
+    # merged-away members, and the grouped sign sums are exactly the abstract
+    # net's split weights: the lift is plain IBP, bit for bit, at every layer
     rng = np.random.default_rng(23)
     for trial in range(10):
         net = random_network(rng)
-        X = rng.normal(size=(6, net.layer_sizes[0]))
-        record = abstract(net, X)  # identity abstraction
-        x = rng.normal(size=net.layer_sizes[0])
-        lifted = lifted_bounds(record, x, 0.1)
-        plain = ibp_bounds(net, x, 0.1)
-        assert np.allclose(lifted.output_lower, plain.output_lower, atol=1e-12)
-        assert np.allclose(lifted.output_upper, plain.output_upper, atol=1e-12)
+        d = net.layer_sizes[0]
+        record = abstract(net, rng.normal(size=(6, d)))  # identity abstraction
+        for x in (rng.normal(size=d), rng.normal(size=(5, d))):
+            lifted = lifted_bounds(record, x, 0.1)
+            plain = ibp_bounds(net, x, 0.1)
+            assert len(lifted.lower) == len(plain.lower) == net.num_layers
+            for got, want in zip(lifted.lower + lifted.upper, plain.lower + plain.upper):
+                assert np.array_equal(got, want)
 
 
 def test_sign_sums_add_up_to_abstract_weights():
@@ -187,12 +191,17 @@ def test_lifted_monotone_in_epsilon():
     net = random_network(rng, sizes=(3, 7, 5, 2))
     X = rng.normal(size=(8, 3))
     record = abstract(net, X, k_l={2: 4, 3: 3}, seed=1)
-    x = rng.normal(size=3)
-    base = record.layer_epsilons()
-    small = lifted_bounds(record, x, 0.05, epsilon_override=base)
-    doubled = lifted_bounds(
-        record, x, 0.05, epsilon_override=tuple(2.0 * e for e in base)
+    doubled_record = replace(
+        record,
+        clusterings=tuple(replace(cl, epsilons=2.0 * cl.epsilons) for cl in record.clusterings),
     )
+    assert all(
+        np.array_equal(d, 2.0 * e)
+        for d, e in zip(doubled_record.layer_epsilons(), record.layer_epsilons())
+    )
+    x = rng.normal(size=3)
+    small = lifted_bounds(record, x, 0.05)
+    doubled = lifted_bounds(doubled_record, x, 0.05)
     for lo_s, up_s, lo_d, up_d in zip(
         small.lower, small.upper, doubled.lower, doubled.upper
     ):
@@ -208,13 +217,17 @@ def test_lifted_relu_output_clamps():
     relu_original = Network(
         record.original_net.weights, record.original_net.biases, "relu"
     )
+    # the merged layer-3 cluster carries epsilon 1.0
+    c2, c3 = record.clusterings
     relu_record = type(record)(
         original_net=relu_original,
         abstract_net=relu_abstract,
-        clusterings=record.clusterings,
+        clusterings=(c2, replace(c3, epsilons=np.array([0.0, 1.0]))),
     )
-    override = (np.zeros(2), np.zeros(2), np.array([1.0]), np.zeros(2))
-    bounds = lifted_bounds(relu_record, np.zeros(2), np.ones(2), epsilon_override=override)
+    assert [e.tolist() for e in relu_record.layer_epsilons()] == [
+        [0.0, 0.0], [0.0, 0.0], [1.0], [0.0, 0.0]
+    ]
+    bounds = lifted_bounds(relu_record, np.zeros(2), np.ones(2))
     assert bounds.output_lower == pytest.approx([3.0, 0.0])
     assert np.all(bounds.output_lower >= 0.0)
 
@@ -243,11 +256,6 @@ def test_lifted_bounds_validation():
         lifted_bounds(record, np.zeros(2), -0.5)
     with pytest.raises(ValidationError):
         lifted_bounds(record, np.zeros(2), np.zeros(3))
-    with pytest.raises(ValidationError):
-        lifted_bounds(record, np.zeros(2), 0.1, epsilon_override=(np.zeros(2),))
-    bad = (np.zeros(2), np.zeros(2), -np.ones(1), np.zeros(2))
-    with pytest.raises(ValidationError):
-        lifted_bounds(record, np.zeros(2), 0.1, epsilon_override=bad)
 
 
 def test_batched_lifted_bounds_match_per_row_calls():
