@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import LayerClustering, cluster_layer
+from .clustering import KMeansSeeding, LayerClustering, cluster_layer
 from .data import LabeledDataset, accuracy, collect_activations
 from .errors import FormatError, ValidationError
 from .network import Network
@@ -79,6 +79,13 @@ def _fingerprint(X: np.ndarray) -> str:
     h.update(str(X.shape).encode())
     h.update(np.ascontiguousarray(X, dtype=np.float64).tobytes())
     return "sha256:" + h.hexdigest()
+
+
+def _json_index(value) -> int:
+    """A layer or neuron index read from a record; only JSON integers qualify."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"expected an integer index, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +225,9 @@ class AbstractionRecord:
             prov = doc["provenance"]
             clusterings = tuple(
                 LayerClustering(
-                    layer=int(entry["layer"]),
-                    clusters=tuple(tuple(int(i) for i in c) for c in entry["clusters"]),
-                    representatives=tuple(int(r) for r in entry["representatives"]),
+                    layer=_json_index(entry["layer"]),
+                    clusters=tuple(tuple(_json_index(i) for i in c) for c in entry["clusters"]),
+                    representatives=tuple(_json_index(r) for r in entry["representatives"]),
                     epsilons=np.asarray(entry["epsilon"], dtype=np.float64),
                 )
                 for entry in layers
@@ -236,6 +243,8 @@ class AbstractionRecord:
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"record document missing field: {exc}") from exc
+        except ValueError as exc:
+            raise FormatError(f"record document holds a malformed value: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "AbstractionRecord":
@@ -249,7 +258,9 @@ def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> A
     Shallow to deep, ``choose(layer, running, cluster)`` returns the clustering
     that merges ``layer`` of the partially-merged network ``running``, or None
     to keep it whole. ``cluster(k)`` runs k-means with seed ``seed + layer`` on
-    the layer's activations over X, collected once.
+    the layer's activations over X. The activations are collected once per
+    layer, and so is their k-means++ seeding: every k tried takes the first k
+    centres of that one draw, which are the centres a fresh draw of k picks.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -262,8 +273,9 @@ def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> A
     clusterings = []
     for layer in net.hidden_layers:
         act = functools.cache(lambda: collect_activations(running, X, layer))
+        seeding = functools.cache(lambda: KMeansSeeding(act().values, seed + layer))
         clustering = choose(
-            layer, running, lambda k: cluster_layer(act(), k, seed=seed + layer, norm=epsilon_norm)
+            layer, running, lambda k: cluster_layer(act(), k, seed=seeding(), norm=epsilon_norm)
         )
         if clustering is None:
             width = running.width(layer)

@@ -80,8 +80,8 @@ def total_error(record: AbstractionRecord, delta) -> np.ndarray:
         raise ValidationError(
             f"delta must be scalar or ({abstract.layer_sizes[0]},), got shape {d.shape}"
         )
-    if np.any(d < 0):
-        raise ValidationError("delta must be non-negative")
+    if not np.all(np.isfinite(d)) or np.any(d < 0):
+        raise ValidationError("delta must be finite and non-negative")
     acc = d
     for w in abstract.weights:
         acc = np.abs(w) @ acc

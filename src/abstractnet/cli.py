@@ -3,7 +3,9 @@
 Every command prints a single JSON report to stdout, except ``verify`` which
 prints one JSON line per query. Logs go to stderr; the level is set by the
 ABSTRACTNET_LOG environment variable (error|warn|info|debug, default warn).
-Exit codes: 0 success, 2 validation or input-format error, 3 internal error.
+Exit codes: 0 success, 2 validation or input-format error (including a
+network or record file whose JSON holds malformed values, and a non-finite
+delta), 3 internal error.
 Identical invocations produce identical reports except for the timing fields
 ("time" and everything under "timings").
 """
@@ -142,8 +144,8 @@ def _parse_delta(text: str, n_features: int):
         if np.any(arr < 0):
             raise ValidationError("delta entries must be >= 0")
         return arr
-    if value < 0:
-        raise ValidationError(f"delta must be >= 0, got {value}")
+    if not np.isfinite(value) or value < 0:
+        raise ValidationError(f"delta must be finite and >= 0, got {value}")
     return value
 
 

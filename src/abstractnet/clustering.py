@@ -51,8 +51,8 @@ class LayerClustering:
                 raise ValidationError(f"representative {rep} is not a member of its cluster")
         if list(self.representatives) != sorted(self.representatives):
             raise ValidationError("clusters must be ordered by representative index")
-        if np.any(eps < 0):
-            raise ValidationError("epsilons must be non-negative")
+        if not np.all(np.isfinite(eps)) or np.any(eps < 0):
+            raise ValidationError("epsilons must be finite and non-negative")
 
     @property
     def num_neurons(self) -> int:
@@ -87,32 +87,49 @@ def _wcss(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> floa
     return float(np.sum(diffs * diffs))
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by squared-distance sampling."""
-    n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining points coincide with a centroid; pick any unused index
-            remaining = [i for i in range(n) if i not in chosen]
-            chosen.append(int(rng.choice(remaining)))
-        else:
-            probs = d2 / total
-            chosen.append(int(rng.choice(n, p=probs)))
-        d2 = np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
-    return points[chosen].copy()
+class KMeansSeeding:
+    """k-means++ seeding of one point set under one seed, drawn lazily.
+
+    Each centre is drawn given only the earlier ones, so the first k centres of
+    a longer draw are exactly the centres a fresh draw of k picks. One seeding
+    therefore serves every k that a cluster-count search tries on a layer: it
+    draws up to the largest k asked for, once.
+    """
+
+    def __init__(self, points: np.ndarray, seed: int):
+        self.points = points
+        self._rng = np.random.default_rng(seed)
+        self._chosen: list[int] = []
+        self._d2 = None  # squared distance of each point to its nearest chosen centre
+
+    def centres(self, k: int) -> np.ndarray:
+        """The first k centres (a copy), spread by squared-distance sampling."""
+        points, chosen, rng = self.points, self._chosen, self._rng
+        n = points.shape[0]
+        while len(chosen) < k:
+            if self._d2 is None:
+                i = int(rng.integers(n))
+            elif (total := self._d2.sum()) <= 0.0:
+                # all remaining points coincide with a centroid; pick any unused index
+                i = int(rng.choice([j for j in range(n) if j not in chosen]))
+            else:
+                i = int(rng.choice(n, p=self._d2 / total))
+            chosen.append(i)
+            d2 = np.sum((points - points[i]) ** 2, axis=1)
+            self._d2 = d2 if self._d2 is None else np.minimum(self._d2, d2)
+        return points[chosen[:k]].copy()
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0):
+def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
     """Lloyd's algorithm on rows of ``points``; returns k lists of row indices.
 
-    Deterministic for a fixed seed. Stops when assignments no longer change or
-    after ``KMEANS_MAX_ITER`` iterations. Empty clusters are repaired by
-    stealing the point currently farthest from its own centroid. Duplicate rows
-    are fine: with more clusters than distinct rows, some clusters end up
-    sharing a value.
+    Deterministic for a fixed seed. ``seed`` may also be a
+    :class:`KMeansSeeding` drawn on these points, which gives the same clusters
+    as its integer seed and shares its draws across calls. Stops when
+    assignments no longer change or after ``KMEANS_MAX_ITER`` iterations.
+    Empty clusters are repaired by stealing the point currently farthest from
+    its own centroid. Duplicate rows are fine: with more clusters than distinct
+    rows, some clusters end up sharing a value.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -122,8 +139,12 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0):
         raise ValidationError(f"k must be in [1, {n}], got {k}")
     if k == n:
         return [[i] for i in range(n)]
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(points, k, rng)
+    if isinstance(seed, KMeansSeeding):
+        if not (seed.points is points or np.array_equal(seed.points, points)):
+            raise ValidationError("the seeding was drawn on other points")
+        centroids = seed.centres(k)
+    else:
+        centroids = KMeansSeeding(points, seed).centres(k)
     assign = np.full(n, -1, dtype=np.int64)
     prev_obj = np.inf
     for _ in range(KMEANS_MAX_ITER):
@@ -184,8 +205,13 @@ def epsilon_vector(points: np.ndarray, clusters, representatives, norm: str = "l
     return eps
 
 
-def cluster_layer(act: ActivationMatrix, k: int, seed: int = 0, norm: str = "l2") -> LayerClustering:
-    """Cluster one layer's activation rows and package the result."""
+def cluster_layer(
+    act: ActivationMatrix, k: int, seed: int | KMeansSeeding = 0, norm: str = "l2"
+) -> LayerClustering:
+    """Cluster one layer's activation rows and package the result.
+
+    ``seed`` is passed to :func:`kmeans`: an int, or a seeding drawn on ``act.values``.
+    """
     points = act.values
     raw = kmeans(points, k, seed=seed)
     paired = []

@@ -186,9 +186,12 @@ class Network:
             bs = [layer["bias"] for layer in layers]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"network document missing field: {exc}") from exc
-        net = cls(tuple(np.asarray(w, dtype=np.float64) for w in ws),
-                  tuple(np.asarray(b, dtype=np.float64) for b in bs),
-                  output_activation=act)
+        try:
+            ws = tuple(np.asarray(w, dtype=np.float64) for w in ws)
+            bs = tuple(np.asarray(b, dtype=np.float64) for b in bs)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"network weights and biases must be numeric arrays: {exc}") from exc
+        net = cls(ws, bs, output_activation=act)
         if list(net.layer_sizes) != sizes:
             raise ValidationError(
                 f"declared layer_sizes {sizes} do not match matrices {list(net.layer_sizes)}"

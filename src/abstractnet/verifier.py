@@ -62,6 +62,7 @@ def _box(net: Network, x, delta):
 
     ``x`` is one input (d,) or a batch (n, d). ``delta`` is a scalar, a
     per-feature (d,) vector shared by every row, or an array shaped like x.
+    Both must be finite, and ``delta`` non-negative.
     """
     x = np.asarray(x, dtype=np.float64)
     d = np.asarray(delta, dtype=np.float64)
@@ -70,8 +71,10 @@ def _box(net: Network, x, delta):
         raise ValidationError(f"input must have shape ({width},) or (n, {width}), got {x.shape}")
     if d.ndim != 0 and d.shape not in (x.shape, x.shape[-1:]):
         raise ValidationError(f"delta shape {d.shape} does not match x shape {x.shape}")
-    if np.any(d < 0):
-        raise ValidationError("delta must be non-negative")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("input contains non-finite entries")
+    if not np.all(np.isfinite(d)) or np.any(d < 0):
+        raise ValidationError("delta must be finite and non-negative")
     return x - d, x + d
 
 

@@ -1,6 +1,8 @@
 """Merging clusters, abstraction records, and cluster-count search."""
 
+import hashlib
 import json
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from abstractnet import (
     reduction_rate,
     search_abstraction,
 )
+import abstractnet.abstraction
 from helpers import random_network, toy_abstract_network, toy_original_network, toy_record
 
 
@@ -229,6 +232,19 @@ def test_record_from_json_errors():
         AbstractionRecord.from_json("{not json")
     with pytest.raises(FormatError):
         AbstractionRecord.from_json(json.dumps({"schema": 1, "layers": []}))
+    good = json.loads(toy_record(0.25).to_json())
+    for edit in (
+        lambda doc: doc["layers"][1]["clusters"][0].__setitem__(1, 1.5),
+        lambda doc: doc["layers"][1]["clusters"][0].__setitem__(1, "1"),
+        lambda doc: doc["layers"][0]["representatives"].__setitem__(0, True),
+        lambda doc: doc["layers"][1]["epsilon"].__setitem__(1, "wide"),
+        lambda doc: doc["original_network"]["layers"][0]["weights"].__setitem__(0, [1.0]),
+        lambda doc: doc["provenance"].__setitem__("seed", "x"),
+    ):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        with pytest.raises(FormatError):
+            AbstractionRecord.from_json(json.dumps(doc))
 
 
 def test_record_accessors():
@@ -326,3 +342,62 @@ def test_search_record_equals_abstract_at_its_k_l():
         assert record.k_l == identify_clusters(net, ds, alpha, trial, norm, val=ds)
         merged += reduction_rate(record) > 0
     assert merged >= 60
+
+
+def integer_search_case():
+    """A small net, inputs and labels with integer values, so activations are exact."""
+    rng = np.random.default_rng(5)
+    sizes = [4, 12, 10, 3]
+    ws = tuple(rng.integers(-2, 3, (o, i)).astype(float) for i, o in zip(sizes[:-1], sizes[1:]))
+    bs = tuple(rng.integers(-1, 2, o).astype(float) for o in sizes[1:])
+    net = Network(ws, bs)
+    X, V = rng.integers(0, 4, (2, 40, 4)).astype(float)
+    return net, LabeledDataset(X, net.classify(X)), LabeledDataset(V, net.classify(V))
+
+
+def test_search_record_bytes_are_pinned():
+    # the records this seeded search writes, both norms; a change to k-means,
+    # its seeding or the search that moves any byte fails here, even when
+    # abstract() moves with it
+    net, ds, val = integer_search_case()
+    digest = hashlib.sha256()
+    for norm in ("l2", "linf"):
+        record = search_abstraction(net, ds, 0.9, seed=3, epsilon_norm=norm, val=val)
+        assert record.k_l == {2: 7, 3: 6}
+        digest.update(record.to_json().encode())
+    assert digest.hexdigest() == (
+        "6e022eddfad37734a5d99e028dac8276097af822ad8f182a543b218a5c9516e7"
+    )
+
+
+def test_search_draws_each_layer_seeding_once(monkeypatch):
+    # one k-means++ draw per centre of the largest k tried on a layer, not one
+    # per centre of every k tried
+    net, ds, val = integer_search_case()
+    draws = Counter()  # rng seed -> centres drawn
+    real_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.seed, self.rng = seed, real_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            draws[self.seed] += 1
+            return self.rng.integers(*args, **kwargs)
+
+        def choice(self, *args, **kwargs):
+            draws[self.seed] += 1
+            return self.rng.choice(*args, **kwargs)
+
+    tried = defaultdict(list)  # layer -> k tried
+    real_cluster_layer = abstractnet.abstraction.cluster_layer
+
+    def cluster_layer(act, k, **kwargs):
+        tried[act.layer].append(k)
+        return real_cluster_layer(act, k, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monkeypatch.setattr(abstractnet.abstraction, "cluster_layer", cluster_layer)
+    search_abstraction(net, ds, 0.9, seed=3, val=val)
+    assert tried == {2: [6, 9, 8, 7], 3: [5, 8, 7, 6]}
+    assert draws == {3 + layer: max(ks) for layer, ks in tried.items()}

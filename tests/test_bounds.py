@@ -115,6 +115,9 @@ def test_total_error_validation():
         total_error(record, -0.1)
     with pytest.raises(ValidationError):
         total_error(record, np.array([0.1, 0.1, 0.1]))
+    for bad in (np.nan, np.inf, np.array([0.1, np.nan])):
+        with pytest.raises(ValidationError):
+            total_error(record, bad)
 
 
 def test_naive_check_margins():

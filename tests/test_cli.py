@@ -264,6 +264,40 @@ def test_missing_and_malformed_files(workdir, tmp_path):
     garbage.write_text("{broken")
     rc, _, _ = run_cli(["verify", "--net", str(garbage), *SYNTH, "--delta", "0.1"])
     assert rc == 2
+    # well-formed JSON holding malformed values: an input-format error, not an internal one
+    d, _, _ = workdir
+    net_doc = json.loads((d / "net.json").read_text())
+    ragged = json.loads(json.dumps(net_doc))
+    ragged["layers"][0]["weights"][0] = ragged["layers"][0]["weights"][0][:-1]
+    stringy = json.loads(json.dumps(net_doc))
+    stringy["layers"][1]["weights"][0][0] = "w"
+    for i, doc in enumerate((ragged, stringy)):
+        path = tmp_path / f"net{i}.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(["verify", "--net", str(path), *SYNTH, "--delta", "0.1"])
+        assert (rc, out) == (2, "")
+        assert "internal error" not in err
+    record_doc = json.loads((d / "record.json").read_text())
+    index = json.loads(json.dumps(record_doc))
+    index["layers"][0]["clusters"][0][0] = "first"
+    epsilon = json.loads(json.dumps(record_doc))
+    epsilon["layers"][0]["epsilon"][0] = "small"
+    for i, doc in enumerate((index, epsilon)):
+        path = tmp_path / f"record{i}.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(["lift", "--record", str(path), *SYNTH, "--delta", "0.1"])
+        assert (rc, out) == (2, "")
+        assert "internal error" not in err
+
+
+def test_non_finite_delta_is_invalid_input(workdir):
+    d, _, _ = workdir
+    for delta in ("nan", "inf"):
+        for argv in (["verify", "--net", str(d / "net.json")],
+                     ["lift", "--record", str(d / "record.json")],
+                     ["bench", "--net", str(d / "net.json"), "--alpha", "0.1"]):
+            rc, out, _ = run_cli([*argv, *SYNTH, "--count", "2", "--delta", delta])
+            assert (rc, out) == (2, "")
 
 
 def test_each_redirected_stderr_gets_the_error(tmp_path):

@@ -16,6 +16,7 @@ from abstractnet import (
     kmeans,
     pick_representative,
 )
+from abstractnet.clustering import KMeansSeeding
 
 
 def brute_force_best_wcss(points, k):
@@ -100,6 +101,43 @@ def test_kmeans_raises_when_objective_rises(monkeypatch):
         kmeans(points, 6, seed=0)
 
 
+def fresh_kmeans_pp(points, k, seed):
+    """k-means++ seeding written out: k centres drawn from scratch under one seed."""
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            chosen.append(int(rng.choice([i for i in range(n) if i not in chosen])))
+        else:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
+    return points[chosen]
+
+
+def test_shared_seeding_prefix_matches_fresh_draw():
+    # the first k centres of one lazily extended seeding are the centres a
+    # fresh draw of k picks, whatever order the k are asked for in
+    rng = np.random.default_rng(3)
+    random_points = rng.normal(size=(12, 3))
+    duplicates = rng.normal(size=(4, 3))[rng.integers(0, 4, size=12)]
+    assert len({tuple(r) for r in duplicates}) < 12  # large k reach the total <= 0 branch
+    for points, seed in ((random_points, 5), (duplicates, 9)):
+        n = points.shape[0]
+        ks = list(range(1, n + 1))
+        for order in (ks, ks[::-1], list(rng.permutation(ks))):
+            seeding = KMeansSeeding(points, seed)
+            for k in order:
+                assert np.array_equal(seeding.centres(k), fresh_kmeans_pp(points, k, seed))
+        shared = KMeansSeeding(points, seed)
+        for k in ks:
+            assert kmeans(points, k, seed=shared) == kmeans(points, k, seed=seed)
+    with pytest.raises(ValidationError):  # a seeding serves only the points it was drawn on
+        kmeans(random_points, 2, seed=KMeansSeeding(random_points + 1.0, 0))
+
+
 def test_pick_representative_middle_point():
     # centroid of {0, 1, 5} is 2; the middle point is nearest
     points = np.array([[0.0], [1.0], [5.0]])
@@ -175,6 +213,8 @@ def test_layer_clustering_validation():
         LayerClustering(2, ((2,), (0, 1)), (2, 0), eps)
     with pytest.raises(ValidationError):  # negative epsilon
         LayerClustering(2, ((0, 1), (2,)), (0, 2), np.array([0.0, -1.0, 0.0]))
+    with pytest.raises(ValidationError):  # non-finite epsilon
+        LayerClustering(2, ((0, 1), (2,)), (0, 2), np.array([0.0, np.nan, 0.0]))
 
 
 def test_neuron_map_and_abstract_epsilons():

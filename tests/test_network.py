@@ -100,6 +100,11 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError):
         Network.load(path)
+    doc = toy_abstract_network().to_dict()
+    for weights in ([[1.0, 1.0], [1.0]], [[1.0, "a"], [1.0, -1.0]], [[1.0, {}], [1.0, -1.0]]):
+        doc["layers"][0]["weights"] = weights  # ragged, a string, an object
+        with pytest.raises(FormatError):
+            Network.from_dict(doc)
 
 
 def test_from_json_rejects_inconsistent_sizes():

@@ -117,6 +117,11 @@ def test_ibp_validation():
         ibp_bounds(net, np.zeros(2), np.zeros((3, 2)))  # per-row delta for one input
     with pytest.raises(ValidationError):
         ibp_bounds(net, np.zeros((3, 2)), np.zeros((2, 2)))
+    for bad in (np.nan, np.inf, np.array([0.1, np.nan])):  # non-finite delta
+        with pytest.raises(ValidationError):
+            ibp_bounds(net, np.zeros(2), bad)
+    with pytest.raises(ValidationError):  # non-finite input
+        ibp_bounds(net, np.array([[0.0, 0.0], [np.inf, 0.0]]), 0.1)
 
 
 def test_check_robust_strictness():
