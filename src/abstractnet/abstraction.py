@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import KMeansSeeding, LayerClustering, cluster_layer
+from .clustering import EPSILON_NORMS, KMeansSeeding, LayerClustering, cluster_layer
 from .data import LabeledDataset, accuracy, collect_activations
 from .errors import FormatError, ValidationError
 from .network import Network
@@ -81,10 +81,10 @@ def _fingerprint(X: np.ndarray) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _json_index(value) -> int:
-    """A layer or neuron index read from a record; only JSON integers qualify."""
+def _json_int(value, what: str = "index") -> int:
+    """An integer read from a record; only JSON integers qualify, not bools or floats."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"expected an integer index, got {value!r}")
+        raise FormatError(f"expected an integer {what}, got {value!r}")
     return value
 
 
@@ -95,20 +95,21 @@ class AbstractionRecord:
     Holds both networks plus, per hidden layer of the original, the clusters,
     representatives, and per-original-neuron epsilons measured during merging.
     The record is self-contained: error bounds and lifted interval bounds are
-    functions of the record (and a query) alone. Construction re-derives the
+    functions of the record (and a query) alone. Construction derives the
     abstract network by merging the original layer by layer with the recorded
-    clusterings and rejects any mismatch, so a record loaded from disk is
+    clusterings. An ``abstract_net`` passed in, such as one read from a file
+    that stores it, must equal that merge, so a record loaded from disk is
     checked, not trusted. ``_memo`` caches what is derived from it, such as the
     lift operator.
     """
 
     original_net: Network
-    abstract_net: Network
     clusterings: tuple[LayerClustering, ...]
     seed: int = 0
     epsilon_norm: str = "l2"
     input_fingerprint: str = ""
     num_inputs: int = 0
+    abstract_net: Network | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -131,7 +132,9 @@ class AbstractionRecord:
             if cl.num_clusters < cl.num_neurons:
                 merged = _merge_layer(merged, layer, cl)
         abst = self.abstract_net
-        if not (
+        if abst is None:
+            object.__setattr__(self, "abstract_net", merged)
+        elif not (
             merged.layer_sizes == abst.layer_sizes
             and merged.output_activation == abst.output_activation
             and all(
@@ -186,7 +189,6 @@ class AbstractionRecord:
     def to_json(self) -> str:
         doc = {
             "schema": 1,
-            "abstract_network": self.abstract_net.to_dict(),
             "original_network": self.original_net.to_dict(),
             "layers": [
                 {
@@ -219,30 +221,46 @@ class AbstractionRecord:
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc
         try:
-            abstract_net = Network.from_dict(doc["abstract_network"])
             original_net = Network.from_dict(doc["original_network"])
+            # files written before records stored one network also hold the
+            # abstract one; construction checks it against the merge
+            abstract_net = (
+                Network.from_dict(doc["abstract_network"]) if "abstract_network" in doc else None
+            )
             layers = doc["layers"]
             prov = doc["provenance"]
             clusterings = tuple(
                 LayerClustering(
-                    layer=_json_index(entry["layer"]),
-                    clusters=tuple(tuple(_json_index(i) for i in c) for c in entry["clusters"]),
-                    representatives=tuple(_json_index(r) for r in entry["representatives"]),
+                    layer=_json_int(entry["layer"]),
+                    clusters=tuple(tuple(_json_int(i) for i in c) for c in entry["clusters"]),
+                    representatives=tuple(_json_int(r) for r in entry["representatives"]),
                     epsilons=np.asarray(entry["epsilon"], dtype=np.float64),
                 )
                 for entry in layers
             )
+            num_inputs = _json_int(prov.get("num_inputs", 0), "num_inputs")
+            if num_inputs < 0:
+                raise FormatError(f"num_inputs must be >= 0, got {num_inputs}")
+            epsilon_norm = prov.get("epsilon_norm", "l2")
+            if epsilon_norm not in EPSILON_NORMS:
+                raise FormatError(
+                    f"epsilon_norm must be one of {EPSILON_NORMS}, got {epsilon_norm!r}"
+                )
+            if "k_l" in prov:
+                k_l = {layer: _json_int(k, "cluster count") for layer, k in prov["k_l"].items()}
+                if k_l != {str(cl.layer): cl.num_clusters for cl in clusterings}:
+                    raise FormatError(f"provenance k_l {k_l} disagrees with the clusterings")
             return cls(
                 original_net=original_net,
                 abstract_net=abstract_net,
                 clusterings=clusterings,
-                seed=int(prov.get("seed", 0)),
-                epsilon_norm=str(prov.get("epsilon_norm", "l2")),
+                seed=_json_int(prov.get("seed", 0), "seed"),
+                epsilon_norm=epsilon_norm,
                 input_fingerprint=str(prov.get("input_fingerprint", "")),
-                num_inputs=int(prov.get("num_inputs", 0)),
+                num_inputs=num_inputs,
             )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"record document missing field: {exc}") from exc
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise FormatError(f"record document has a missing or mistyped field: {exc}") from exc
         except ValueError as exc:
             raise FormatError(f"record document holds a malformed value: {exc}") from exc
 
@@ -286,7 +304,6 @@ def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> A
         clusterings.append(clustering)
     return AbstractionRecord(
         original_net=net,
-        abstract_net=running,
         clusterings=tuple(clusterings),
         seed=seed,
         epsilon_norm=epsilon_norm,

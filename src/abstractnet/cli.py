@@ -76,11 +76,6 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_line(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":"), default=_json_default))
-    sys.stdout.write("\n")
-
-
 def _parse_arch(text: str) -> tuple[int, ...]:
     """Hidden widths from '3x100' (3 layers of 100) or '100,50'."""
     s = text.strip().lower()
@@ -311,12 +306,20 @@ def cmd_verify(args) -> int:
     targets = net.classify(X)
     bounds = ibp_bounds(net, X, delta)
     proven = robust_mask(bounds, targets)
-    rows = zip(ids, X, targets, proven, bounds.output_lower, bounds.output_upper)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    rows = zip(
+        ids,
+        X,
+        targets.tolist(),
+        proven.tolist(),
+        bounds.output_lower.tolist(),
+        bounds.output_upper.tolist(),
+    )
     for qid, x, target, ok, lower, upper in rows:
         line = {
             "schema": 1,
             "query": qid,
-            "target": int(target),
+            "target": target,
             "verdict": _verdict_value(ok),
             "output_lower": lower,
             "output_upper": upper,
@@ -331,10 +334,10 @@ def cmd_verify(args) -> int:
             if witness is None:
                 line["witness"] = None
             else:
-                line["witness"] = witness
+                line["witness"] = witness.tolist()
                 line["witness_label"] = int(net.classify(witness))
                 line["verdict"] = Verdict.NOT_ROBUST.value
-        _emit_line(line)
+        sys.stdout.write(encode(line) + "\n")
     return 0
 
 

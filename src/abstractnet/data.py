@@ -7,7 +7,9 @@ Input sets are plain float64 arrays of shape (n_samples, n_features) scaled to
 from __future__ import annotations
 
 import gzip
+import re
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,32 +118,65 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
-def load_csv(path, n_inputs: int | None = None) -> LabeledDataset:
-    """Load rows of ``label, v1, ..., vn``. A non-numeric first token marks a header."""
-    rows: list[list[float]] = []
+def _open_csv(path):
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
+    return opener(path, "rt", encoding="utf-8")
+
+
+# numpy's loadtxt errors name the failing data row, 0-based for a bad value
+# and 1-based for a changed field count; blank lines and a header are not rows
+_BAD_VALUE = re.compile(r"could not convert string (.*) to float64 at row (\d+), column (\d+)")
+_RAGGED = re.compile(r"the number of columns changed from (\d+) to (\d+) at row (\d+)")
+
+
+def _csv_line_of_row(path, header: bool, row: int) -> int:
+    """1-based file line of the 0-based data row that numpy counts."""
+    with _open_csv(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if (header and lineno == 1) or line.isspace():
                 continue
-            tokens = line.split(",")
-            if lineno == 1:
-                try:
-                    float(tokens[0])
-                except ValueError:
-                    continue  # header row
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-numeric value ({exc})") from exc
-            if len(rows[-1]) != len(rows[0]):
-                raise FormatError(
-                    f"line {lineno}: expected {len(rows[0])} fields, got {len(rows[-1])}"
+            if row == 0:
+                return lineno
+            row -= 1
+    return lineno
+
+
+def load_csv(path, n_inputs: int | None = None) -> LabeledDataset:
+    """Load rows of ``label, v1, ..., vn``. A non-numeric first token marks a header.
+
+    Blank lines are skipped. A ragged or non-numeric row raises
+    :class:`FormatError` naming its 1-based line.
+    """
+    with _open_csv(path) as fh:
+        first = fh.readline()
+        try:
+            float(first.strip().split(",")[0])
+            header = False
+        except ValueError:
+            header = True  # a blank first line, too, holds no data
+        if not header:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(
+                    (line for line in fh if not line.isspace()),
+                    delimiter=",", comments=None, ndmin=2, dtype=np.float64,
                 )
-    if not rows:
+        except ValueError as exc:
+            if match := _BAD_VALUE.search(str(exc)):
+                value, row, field = match.groups()
+                lineno = _csv_line_of_row(path, header, int(row))
+                raise FormatError(
+                    f"line {lineno}: non-numeric value {value} in field {field}"
+                ) from exc
+            if match := _RAGGED.search(str(exc)):
+                expected, got, row = match.groups()
+                lineno = _csv_line_of_row(path, header, int(row) - 1)
+                raise FormatError(f"line {lineno}: expected {expected} fields, got {got}") from exc
+            raise FormatError(str(exc)) from exc
+    if data.size == 0:
         raise FormatError("no data rows")
-    data = np.asarray(rows, dtype=np.float64)
     if n_inputs is not None and data.shape[1] != n_inputs + 1:
         raise ValidationError(f"expected label + {n_inputs} values per row, got {data.shape[1]}")
     return LabeledDataset(data[:, 1:], data[:, 0])

@@ -1,5 +1,7 @@
 """Shared builders for the hand-checked toy networks used across tests."""
 
+import json
+
 import numpy as np
 
 from abstractnet import Network, merge_cluster
@@ -30,12 +32,26 @@ def toy_original_network() -> Network:
 def toy_record(e: float = 0.0) -> AbstractionRecord:
     """Record for the duplicate merge with the deleted neuron's radius set to e."""
     original = toy_original_network()
-    merged = merge_cluster(original, 3, (0, 1), 0)
     c2 = LayerClustering(2, ((0,), (1,)), (0, 1), (0.0, 0.0))
     c3 = LayerClustering(3, ((0, 1),), (0,), (0.0, float(e)))
     X = np.array([[1.0, 1.0], [0.5, -0.5]])
     return AbstractionRecord(
-        original, merged, (c2, c3), 0, "l2", _fingerprint(X), X.shape[0]
+        original,
+        (c2, c3),
+        0,
+        "l2",
+        _fingerprint(X),
+        X.shape[0],
+        abstract_net=merge_cluster(original, 3, (0, 1), 0),
+    )
+
+
+def legacy_record_json(record: AbstractionRecord) -> str:
+    """The bytes a record was saved as while record files also stored the
+    abstract network, right after the schema."""
+    doc = json.loads(record.to_json())
+    return json.dumps(
+        {"schema": doc.pop("schema"), "abstract_network": record.abstract_net.to_dict(), **doc}
     )
 
 

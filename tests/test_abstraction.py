@@ -21,7 +21,13 @@ from abstractnet import (
     search_abstraction,
 )
 import abstractnet.abstraction
-from helpers import random_network, toy_abstract_network, toy_original_network, toy_record
+from helpers import (
+    legacy_record_json,
+    random_network,
+    toy_abstract_network,
+    toy_original_network,
+    toy_record,
+)
 
 
 def test_merge_cluster_weight_surgery():
@@ -196,14 +202,11 @@ def test_record_json_round_trip():
 
 
 def test_record_json_bytes_are_pinned():
-    # the bytes a record is saved as; the networks are serialized once, not
-    # dumped, parsed and dumped again
+    # the bytes a record is saved as: the original network, the clusterings and
+    # the provenance; the abstract network is derived on load, not stored
     record = toy_record(0.25)
-    assert record.to_json() == (
-        '{"schema": 1, "abstract_network": {"layer_sizes": [2, 2, 1, 2], "layers": '
-        '[{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, '
-        '1.0]], "bias": [0.0]}, {"weights": [[2.0], [1.0]], "bias": [5.0, 0.0]}], '
-        '"output_activation": "identity"}, "original_network": {"layer_sizes": [2, 2, 2, 2], '
+    original_net = (
+        '"original_network": {"layer_sizes": [2, 2, 2, 2], '
         '"layers": [{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": '
         '[[1.0, 1.0], [1.0, 1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, 1.0], [0.0, '
         '1.0]], "bias": [5.0, 0.0]}], "output_activation": "identity"}, "layers": [{"layer": '
@@ -214,6 +217,16 @@ def test_record_json_bytes_are_pinned():
         '"sha256:bc4a99bf0583c9b2ca22ff043820c4a78cb0c9099abe8a7ae350e00d601503a7", '
         '"num_inputs": 2}}'
     )
+    assert record.to_json() == '{"schema": 1, ' + original_net
+    # the layout written while records also stored the abstract network
+    legacy = legacy_record_json(record)
+    assert legacy == (
+        '{"schema": 1, "abstract_network": {"layer_sizes": [2, 2, 1, 2], "layers": '
+        '[{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, '
+        '1.0]], "bias": [0.0]}, {"weights": [[2.0], [1.0]], "bias": [5.0, 0.0]}], '
+        '"output_activation": "identity"}, ' + original_net
+    )
+    assert AbstractionRecord.from_json(legacy).to_json() == record.to_json()
     assert json.loads(record.to_json())["original_network"] == record.original_net.to_dict()
     net = record.abstract_net
     assert Network.from_dict(net.to_dict()).to_json() == net.to_json()
@@ -240,11 +253,30 @@ def test_record_from_json_errors():
         lambda doc: doc["layers"][1]["epsilon"].__setitem__(1, "wide"),
         lambda doc: doc["original_network"]["layers"][0]["weights"].__setitem__(0, [1.0]),
         lambda doc: doc["provenance"].__setitem__("seed", "x"),
+        lambda doc: doc["provenance"].__setitem__("seed", 1.5),
+        lambda doc: doc["provenance"].__setitem__("seed", "7"),
+        lambda doc: doc["provenance"].__setitem__("seed", True),
+        lambda doc: doc["provenance"].__setitem__("num_inputs", "-3"),
+        lambda doc: doc["provenance"].__setitem__("num_inputs", -3),
+        lambda doc: doc["provenance"].__setitem__("num_inputs", 2.0),
+        lambda doc: doc["provenance"].__setitem__("num_inputs", False),
+        lambda doc: doc["provenance"].__setitem__("epsilon_norm", "l3"),
+        lambda doc: doc["provenance"].__setitem__("epsilon_norm", 5),
+        lambda doc: doc["provenance"]["k_l"].__setitem__("3", 2),
+        lambda doc: doc["provenance"]["k_l"].__setitem__("3", True),
+        lambda doc: doc["provenance"]["k_l"].__setitem__("4", 1),
+        lambda doc: doc["provenance"]["k_l"].pop("2"),
+        lambda doc: doc["provenance"].__setitem__("k_l", [2, 1]),
     ):
         doc = json.loads(json.dumps(good))
         edit(doc)
         with pytest.raises(FormatError):
             AbstractionRecord.from_json(json.dumps(doc))
+    # the unedited document, and each field at another valid value, still load
+    for field, value in (("seed", 7), ("num_inputs", 0), ("epsilon_norm", "linf")):
+        doc = json.loads(json.dumps(good))
+        doc["provenance"][field] = value
+        assert getattr(AbstractionRecord.from_json(json.dumps(doc)), field) == value
 
 
 def test_record_accessors():
@@ -360,12 +392,18 @@ def test_search_record_bytes_are_pinned():
     # its seeding or the search that moves any byte fails here, even when
     # abstract() moves with it
     net, ds, val = integer_search_case()
-    digest = hashlib.sha256()
+    digest, legacy_digest = hashlib.sha256(), hashlib.sha256()
     for norm in ("l2", "linf"):
         record = search_abstraction(net, ds, 0.9, seed=3, epsilon_norm=norm, val=val)
         assert record.k_l == {2: 7, 3: 6}
         digest.update(record.to_json().encode())
+        legacy_digest.update(legacy_record_json(record).encode())
     assert digest.hexdigest() == (
+        "a574d0ffec1c7369d28f40f70199147ba8add0c260a498ec16887f1c0ff3a81b"
+    )
+    # the same records in the layout written while they also stored the
+    # abstract network
+    assert legacy_digest.hexdigest() == (
         "6e022eddfad37734a5d99e028dac8276097af822ad8f182a543b218a5c9516e7"
     )
 

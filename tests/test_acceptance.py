@@ -304,16 +304,17 @@ def test_criterion_6_verification_speed_and_lifting(desk_setup):
 
     def wall(network) -> float:
         # the batched verification path the CLI and pipeline() run
-        best = np.inf
-        for _ in range(5):
-            t = time.perf_counter()
-            robust_mask(ibp_bounds(network, queries, delta), network.classify(queries))
-            best = min(best, time.perf_counter() - t)
-        return best
+        t = time.perf_counter()
+        robust_mask(ibp_bounds(network, queries, delta), network.classify(queries))
+        return time.perf_counter() - t
 
-    wall(net)  # warm-up
-    w_orig = wall(net)
-    w_abs = wall(record.abstract_net)
+    wall(net), wall(record.abstract_net)  # warm-up
+    # alternate the two sides, so a slow spell of a shared machine slows both,
+    # and keep each side's best round
+    w_orig = w_abs = np.inf
+    for _ in range(15):
+        w_orig = min(w_orig, wall(net))
+        w_abs = min(w_abs, wall(record.abstract_net))
 
     n_abstract_robust = 0
     n_lifted = 0

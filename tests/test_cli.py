@@ -9,7 +9,7 @@ import pytest
 
 from abstractnet import AbstractionRecord, Network, ValidationError
 from abstractnet.cli import main
-from helpers import strip_timings
+from helpers import legacy_record_json, strip_timings
 
 
 def run_cli(argv):
@@ -201,7 +201,9 @@ def test_lift_abstract_verdicts_match_verify_record(workdir, tmp_path):
 
 def test_tampered_record_rejected(workdir, tmp_path):
     d, _, _ = workdir
-    doc = json.loads((d / "record.json").read_text())
+    # a file in the layout that also stores the abstract network, whose
+    # abstract net no longer equals the merge of the original
+    doc = json.loads(legacy_record_json(AbstractionRecord.load(d / "record.json")))
     doc["abstract_network"]["layers"][0]["bias"][0] += 0.25
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc))
@@ -211,6 +213,21 @@ def test_tampered_record_rejected(workdir, tmp_path):
         ["lift", "--record", str(tampered), *SYNTH, "--delta", "0", "--count", "2"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("num_inputs", -3), ("epsilon_norm", "l3"), ("k_l", {"2": 5})],
+)
+def test_record_with_bad_provenance_exits_2(workdir, tmp_path, field, value):
+    d, _, _ = workdir
+    doc = json.loads((d / "record.json").read_text())
+    doc["provenance"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run_cli(["lift", "--record", str(bad), *SYNTH, "--delta", "0", "--count", "2"])
+    assert rc == 2
+    assert "Traceback" not in err
 
 
 def test_bench_deterministic_modulo_timings(workdir):

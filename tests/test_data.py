@@ -117,6 +117,79 @@ def test_csv_non_numeric_data_row(tmp_path):
         load_csv(path)
 
 
+def test_csv_values_bit_identical_to_float(tmp_path):
+    # every value reads as the float Python's float() makes of its token
+    rng = np.random.default_rng(0)
+    values = (rng.uniform(-1.0, 1.0, 600) * 10.0 ** rng.integers(-320, 309, 600)).tolist()
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+               1.7976931348623157e308, 1e-5, 123456789.0, 1 / 3]
+    tokens = [repr(v) for v in values]
+    tokens += ["1E5", "+3", ".5", "5.", " 7 ", "-0", "1e-400", "2.5e+10"]
+    width = 7
+    tokens += ["0.0"] * (-len(tokens) % width)
+    rows = [tokens[i : i + width] for i in range(0, len(tokens), width)]
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{i % 10}," + ",".join(row) + "\n" for i, row in enumerate(rows)))
+    ds = load_csv(path)
+    reference = np.array([[float(t) for t in row] for row in rows])
+    assert ds.inputs.tobytes() == reference.tobytes()
+    assert ds.labels.tolist() == [i % 10 for i in range(len(rows))]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,0.5,0.25\n0,-1,2e-3\n",
+        "label,a,b\n1,0.5,0.25\n0,-1,2e-3\n",  # header row
+        "\n1,0.5,0.25\n\n  \n0,-1,2e-3\n\n",  # blank lines
+        "label,a,b\r\n1,0.5,0.25\r\n\r\n0,-1,2e-3\r\n",  # CRLF line ends
+        "1,0.5,0.25\n0,-1,2e-3",  # no final newline
+        "1, 0.5 ,0.25\n0,\t-1,2e-3 \n",  # spaces around values
+    ],
+)
+@pytest.mark.parametrize("gz", [False, True])
+def test_csv_layouts_read_the_same_rows(tmp_path, text, gz):
+    path = tmp_path / ("d.csv.gz" if gz else "d.csv")
+    with (gzip.open if gz else open)(path, "wb") as fh:
+        fh.write(text.encode())
+    ds = load_csv(path)
+    assert ds.labels.tolist() == [1, 0]
+    assert ds.inputs.tolist() == [[0.5, 0.25], [-1.0, 0.002]]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1,0.5\n0,oops\n", 2),
+        ("label,a\n1,0.5\n0,oops\n", 3),
+        ("label,a\n\n1,0.5\n\n \n0,0.5\n0,oops\n", 7),
+        ("1,0.5\r\n\r\n0,0.5,1\r\n", 3),  # ragged, more fields
+        ("label,a,b\n1,0.5,0.25\n\n0,-1", 4),  # ragged, fewer fields
+        ("1,0.5\n#,0.5\n", 2),  # no comment lines
+        ("1,0.5\n# note\n", 2),
+        ("1,0.5\n1_0,0.5\n", 2),  # float() read this as 10
+        ("1,0.5\n0,0.5,\n", 2),  # trailing comma
+        ("1,0.5\n0,,0.5\n", 2),
+        ("1,0.5\n0,0x10\n", 2),
+    ],
+)
+def test_csv_errors_name_the_line(tmp_path, text, line):
+    for name, opener in (("d.csv", open), ("d.csv.gz", gzip.open)):
+        path = tmp_path / name
+        with opener(path, "wb") as fh:
+            fh.write(text.encode())
+        with pytest.raises(FormatError, match=f"^line {line}: "):
+            load_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "label,a,b\n", "label,a,b\n\n  \n"])
+def test_csv_without_data_rows(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="no data rows"):
+        load_csv(path)
+
+
 def test_csv_feature_count_check(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,0.5,0.25\n")
