@@ -13,13 +13,19 @@ import numpy as np
 from abstractnet import (
     Network,
     RobustnessQuery,
+    Verdict,
     abstract,
-    check_robust,
     falsify,
     ibp_bounds,
-    lift_proof,
     lifted_bounds,
+    robust_mask,
+    verify_and_lift,
 )
+
+
+def verdict(proven) -> str:
+    return (Verdict.ROBUST if proven else Verdict.UNKNOWN).value
+
 
 # Original: two identical hidden neurons in layer 3. Abstracting that layer
 # to one neuron is lossless, which makes the lifted bounds easy to follow.
@@ -39,25 +45,25 @@ print(f"abstract {small.layer_sizes}, epsilons all zero: "
 
 # Interval bound propagation on the abstract net, then a margin check:
 # label 0 is proven robust when its lower bound beats every other upper.
+# Both run on a batch of queries, here a batch of one.
 delta = 1.0
-b = ibp_bounds(small, x, delta)
+b = ibp_bounds(small, x[None, :], delta)
+lo, up = b.output_lower[0], b.output_upper[0]
 print(f"delta={delta}: abstract output intervals "
-      f"[{b.output_lower[0]:.0f}, {b.output_upper[0]:.0f}] vs "
-      f"[{b.output_lower[1]:.0f}, {b.output_upper[1]:.0f}] "
-      f"-> {check_robust(b, 0).value}")
+      f"[{lo[0]:.0f}, {up[0]:.0f}] vs [{lo[1]:.0f}, {up[1]:.0f}] "
+      f"-> {verdict(robust_mask(b, [0])[0])}")
 
 # The lifted bounds add epsilon slack per merged layer; with zero epsilons
 # they reproduce the abstract intervals and the proof transfers for free.
 lb = lifted_bounds(record, x, delta)
-q = RobustnessQuery(x, delta)
+run = verify_and_lift(record, x[None, :], delta)
 print(f"lifted intervals match: lower {lb.output_lower}, upper {lb.output_upper}")
-print(f"lift_proof verdict on the original net: {lift_proof(record, q).value}")
+print(f"verify_and_lift verdict on the original net: {verdict(run.lifted_robust[0])}")
 
 # Larger boxes stop being provable: the intervals overlap and the verdict
 # downgrades to unknown rather than claiming anything.
 for d in (2.0, 4.0, 8.0):
-    verdict = lift_proof(record, RobustnessQuery(x, d)).value
-    print(f"delta={d}: {verdict}")
+    print(f"delta={d}: {verdict(verify_and_lift(record, x[None, :], d).lifted_robust[0])}")
 
 # When a net is actually fragile, sampling finds a concrete counterexample.
 fragile = Network(

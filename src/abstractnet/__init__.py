@@ -30,7 +30,6 @@ from .abstraction import (
     AbstractionRecord,
     abstract,
     identify_clusters,
-    merge_cluster,
     reduction_rate,
     search_abstraction,
 )
@@ -41,9 +40,8 @@ from .verifier import (
     falsify,
     ibp_bounds,
     robust_mask,
-    verify_query,
 )
-from .bounds import ErrorBounds, clustering_error, naive_robust_check, total_error
+from .bounds import ErrorBounds, clustering_error, total_error
 from .lifting import (
     EPSILON_SCOPE_NOTE,
     LiftedBounds,
@@ -81,7 +79,6 @@ __all__ = [
     "epsilon_vector",
     "abstract",
     "identify_clusters",
-    "merge_cluster",
     "reduction_rate",
     "search_abstraction",
     "AbstractionRecord",
@@ -90,12 +87,10 @@ __all__ = [
     "ibp_bounds",
     "check_robust",
     "robust_mask",
-    "verify_query",
     "falsify",
     "ErrorBounds",
     "clustering_error",
     "total_error",
-    "naive_robust_check",
     "LiftedBounds",
     "lifted_bounds",
     "lift_proof",

@@ -45,35 +45,6 @@ def _merge_layer(net: Network, layer: int, clustering: LayerClustering) -> Netwo
     return Network(tuple(ws), tuple(bs), net.output_activation)
 
 
-def merge_cluster(net: Network, layer: int, cluster, representative: int) -> Network:
-    """Merge one cluster of neurons in a hidden layer into its representative.
-
-    ``cluster`` holds 0-based neuron indices of ``layer`` (1-based, 2..L-1);
-    the representative must be a member. All other neurons stay singletons.
-    A singleton cluster returns an identical network.
-    """
-    if not 2 <= layer <= net.num_layers - 1:
-        raise ValidationError(f"layer must be hidden (2..{net.num_layers - 1}), got {layer}")
-    width = net.width(layer)
-    members = sorted(int(i) for i in cluster)
-    if not members:
-        raise ValidationError("cluster is empty")
-    if members[0] < 0 or members[-1] >= width or len(set(members)) != len(members):
-        raise ValidationError(f"cluster {members} is not a set of valid neuron indices")
-    if representative not in members:
-        raise ValidationError(f"representative {representative} is not in the cluster")
-    groups = [(i, (i,)) for i in range(width) if i not in members]
-    groups.append((int(representative), tuple(members)))
-    groups.sort()
-    clustering = LayerClustering(
-        layer=layer,
-        clusters=tuple(g for _, g in groups),
-        representatives=tuple(r for r, _ in groups),
-        epsilons=np.zeros(width),
-    )
-    return _merge_layer(net, layer, clustering)
-
-
 def _fingerprint(X: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(X.shape).encode())
@@ -351,6 +322,11 @@ def reduction_rate(record: AbstractionRecord) -> float:
     if total == 0:
         return 0.0
     return 1.0 - sum(abst) / total
+
+
+def _removed_neurons(record: AbstractionRecord) -> int:
+    """Hidden neurons the abstraction removed, over all layers."""
+    return sum(record.original_net.layer_sizes[1:-1]) - sum(record.abstract_net.layer_sizes[1:-1])
 
 
 def search_abstraction(

@@ -1,5 +1,4 @@
-"""Worst-case output error of an abstraction over its input set, and the naive
-robustness check built on it.
+"""Worst-case output error of an abstraction over its input set.
 
 The per-layer error recurrence runs in original coordinates: each original
 neuron's bound is propagated through the absolute original weight matrix, and
@@ -20,7 +19,6 @@ import numpy as np
 
 from .abstraction import AbstractionRecord
 from .errors import ValidationError
-from .verifier import Verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,21 +84,3 @@ def total_error(record: AbstractionRecord, delta) -> np.ndarray:
     for w in abstract.weights:
         acc = np.abs(w) @ acc
     return acc + clustering_error(record).output
-
-
-def naive_robust_check(record: AbstractionRecord, x, delta) -> Verdict:
-    """Robust iff some output dominates all others even after the error budget.
-
-    Compares abstract outputs at x padded by the total error bound; sound for
-    points of the abstraction's input set. Failure yields UNKNOWN, never a
-    counterexample.
-    """
-    T = total_error(record, delta)
-    y = record.abstract_net.forward(x)
-    if y.ndim != 1:
-        raise ValidationError("naive_robust_check expects a single input")
-    for i in range(y.shape[0]):
-        rival = np.delete(y + T, i)
-        if rival.size == 0 or y[i] - T[i] > rival.max():
-            return Verdict.ROBUST
-    return Verdict.UNKNOWN

@@ -23,19 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .abstraction import AbstractionRecord, abstract, reduction_rate, search_abstraction
+from .abstraction import (
+    AbstractionRecord, _removed_neurons, abstract, reduction_rate, search_abstraction,
+)
 from .data import LabeledDataset, accuracy, load_csv, load_idx, split_dataset
 from .errors import AbstractnetError, FormatError, TrainingError, ValidationError
-from .lifting import EPSILON_SCOPE_NOTE, verify_and_lift
+from .lifting import EPSILON_SCOPE_NOTE, abstract_verify_lift, run_report, verify_and_lift
 from .network import Network, RobustnessQuery
 from .synthetic import make_synthetic_digits
 from .trainer import TrainConfig, train
 from .verifier import Verdict, _verdict_value, falsify, ibp_bounds, robust_mask
 
 log = logging.getLogger("abstractnet.cli")
-
-# bench checks its --timeout-s deadline between batches of this many queries
-BENCH_BATCH = 100
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -177,12 +176,6 @@ def _clamped_count(requested: int, available: int, what: str) -> int:
         log.warning("only %d %s available, requested %d", available, what, requested)
         return available
     return requested
-
-
-def _removed_neurons(record: AbstractionRecord) -> int:
-    orig = sum(record.original_net.layer_sizes[1:-1])
-    kept = sum(record.abstract_net.layer_sizes[1:-1])
-    return orig - kept
 
 
 def _epsilon_maxima(record: AbstractionRecord) -> list[float]:
@@ -376,72 +369,13 @@ def cmd_bench(args) -> int:
     ds = _load_dataset(args)
     delta = _parse_delta(args.delta, net.layer_sizes[0])
     n = _clamped_count(args.count, len(ds), "inputs")
-
-    t_start = time.perf_counter()
-    train_part, val_part = split_dataset(ds, args.val_fraction, args.seed)
-    record = search_abstraction(
-        net, train_part, args.alpha, seed=args.seed, epsilon_norm=args.epsilon_norm,
-        val=val_part,
+    run = abstract_verify_lift(
+        net, ds, args.alpha, ds.inputs[:n], delta, seed=args.seed,
+        epsilon_norm=args.epsilon_norm, val_fraction=args.val_fraction, timeout_s=args.timeout_s,
     )
-    abstract_s = time.perf_counter() - t_start
     if args.record_out:
-        record.save(args.record_out)
-
-    timers = {"original_verify_s": 0.0, "abstract_verify_s": 0.0, "lift_s": 0.0}
-    deadline = t_start + args.timeout_s if args.timeout_s is not None else None
-    results: list[dict] = []
-    timed_out = False
-    queries = ds.inputs[:n]
-    for pos in range(0, n, BENCH_BATCH):
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            log.warning("timeout after %d of %d queries", pos, n)
-            break
-        batch = queries[pos : pos + BENCH_BATCH]
-        t0 = time.perf_counter()
-        original = robust_mask(ibp_bounds(net, batch, delta), net.classify(batch))
-        timers["original_verify_s"] += time.perf_counter() - t0
-        run = verify_and_lift(record, batch, delta)
-        timers["abstract_verify_s"] += run.verify_s
-        timers["lift_s"] += run.lift_s
-        results.extend(
-            {
-                "query": pos + i,
-                "original": _verdict_value(o),
-                "abstract": _verdict_value(a),
-                "lifted": _verdict_value(b),
-            }
-            for i, (o, a, b) in enumerate(zip(original, run.abstract_robust, run.lifted_robust))
-        )
-
-    total_s = time.perf_counter() - t_start
-    _emit(
-        {
-            "schema": 1,
-            "command": "bench",
-            "removed_neurons": _removed_neurons(record),
-            "reduction_rate": reduction_rate(record),
-            "images_verified": sum(r["lifted"] == "robust" for r in results),
-            "time": total_s,
-            "queries_run": len(results),
-            "count": n,
-            "timed_out": timed_out,
-            "original_robust": sum(r["original"] == "robust" for r in results),
-            "abstract_robust": sum(r["abstract"] == "robust" for r in results),
-            "lifted_robust": sum(r["lifted"] == "robust" for r in results),
-            "k_l": {str(layer): k for layer, k in sorted(record.k_l.items())},
-            "alpha": args.alpha,
-            "delta": delta,
-            "seed": args.seed,
-            "accuracy": {
-                "original": accuracy(net, val_part),
-                "abstract": accuracy(record.abstract_net, val_part),
-            },
-            "results": results,
-            "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},
-            "timings": {"abstract_s": abstract_s, **timers},
-        }
-    )
+        run.record.save(args.record_out)
+    _emit(run_report(run, command="bench", delta=delta))
     return 0
 
 

@@ -17,6 +17,9 @@ member's pre-activation can move from its representative's inside the query
 box. ReLU is monotone and 1-Lipschitz, so by induction every original neuron's
 interval bound lies inside its cluster's widened interval, at query points on
 or off X. Exact duplicates have box epsilon 0.
+
+The module also holds the one abstract -> verify -> lift run behind the
+``bench`` command and :func:`pipeline`, and the report both print.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractionRecord, reduction_rate, search_abstraction
+from .abstraction import AbstractionRecord, _removed_neurons, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, split_dataset
 from .errors import ValidationError
 from .network import Network, RobustnessQuery
@@ -37,6 +40,9 @@ from .verifier import (
 )
 
 log = logging.getLogger(__name__)
+
+# abstract_verify_lift verifies, and checks its deadline, in batches of this many queries
+BENCH_BATCH = 100
 
 EPSILON_SCOPE_NOTE = (
     "recorded epsilons are measured on the activation-collection input set; "
@@ -199,6 +205,133 @@ def verify_and_lift(record: AbstractionRecord, X, delta) -> VerifyLiftResult:
     return VerifyLiftResult(labels, proven, lifted, t1 - t0, t2 - t1)
 
 
+@dataclass(frozen=True, eq=False)
+class PipelineRun:
+    """Outcome of :func:`abstract_verify_lift`, read by :func:`run_report`.
+
+    ``val`` is the validation split the search used and ``count`` the number
+    of queries asked for. The verdict arrays have one entry per query run,
+    which is every query unless the run timed out. ``total_s`` is the wall
+    time from the split to the last batch.
+    """
+
+    record: AbstractionRecord
+    val: LabeledDataset
+    alpha: float
+    count: int
+    original_robust: np.ndarray
+    abstract_robust: np.ndarray
+    lifted_robust: np.ndarray
+    timings: dict
+    total_s: float
+
+    @property
+    def timed_out(self) -> bool:
+        return self.lifted_robust.size < self.count
+
+
+def abstract_verify_lift(
+    net: Network,
+    ds: LabeledDataset,
+    alpha: float,
+    X,
+    delta,
+    seed: int = 0,
+    epsilon_norm: str = "l2",
+    val_fraction: float = 0.2,
+    timeout_s: float | None = None,
+) -> PipelineRun:
+    """Abstract ``net``, verify the original and the abstract net on X, and lift.
+
+    Splits ``ds`` by ``(val_fraction, seed)`` and sizes each layer with the
+    validation-split search. Then, in batches of ``BENCH_BATCH`` rows, it
+    interval-verifies the original net and runs :func:`verify_and_lift` on
+    the abstract one. ``delta`` is taken as by :func:`verify_and_lift`. Once
+    ``timeout_s`` seconds have passed since the split, no further batch starts.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    d = np.asarray(delta, dtype=np.float64)
+    t_start = time.perf_counter()
+    train_part, val_part = split_dataset(ds, val_fraction, seed)
+    record = search_abstraction(
+        net, train_part, alpha, seed=seed, epsilon_norm=epsilon_norm, val=val_part
+    )
+    timings = {
+        "abstract_s": time.perf_counter() - t_start,
+        "original_verify_s": 0.0,
+        "abstract_verify_s": 0.0,
+        "lift_s": 0.0,
+    }
+    deadline = None if timeout_s is None else t_start + timeout_s
+    n = done = X.shape[0]
+    original, proven, lifted = (np.zeros(n, dtype=bool) for _ in range(3))
+    for pos in range(0, n, BENCH_BATCH):
+        if deadline is not None and time.perf_counter() > deadline:
+            log.warning("timeout after %d of %d queries", pos, n)
+            done = pos
+            break
+        rows = slice(pos, pos + BENCH_BATCH)
+        batch, batch_delta = X[rows], d[rows] if d.ndim == 2 else delta
+        t0 = time.perf_counter()
+        original[rows] = robust_mask(ibp_bounds(net, batch, batch_delta), net.classify(batch))
+        timings["original_verify_s"] += time.perf_counter() - t0
+        run = verify_and_lift(record, batch, batch_delta)
+        proven[rows], lifted[rows] = run.abstract_robust, run.lifted_robust
+        timings["abstract_verify_s"] += run.verify_s
+        timings["lift_s"] += run.lift_s
+    return PipelineRun(
+        record, val_part, alpha, n, original[:done], proven[:done], lifted[:done],
+        timings, time.perf_counter() - t_start,
+    )
+
+
+def run_report(run: PipelineRun, command: str | None = None, delta=None) -> dict:
+    """The JSON-ready report of a run, for ``bench`` and :func:`pipeline`.
+
+    ``command`` and ``delta`` are left out when None: :func:`pipeline` is no
+    command, and its queries may differ in delta.
+    """
+    record = run.record
+    verdicts = (run.original_robust, run.abstract_robust, run.lifted_robust)
+    report = {
+        "schema": 1,
+        "command": command,
+        "removed_neurons": _removed_neurons(record),
+        "reduction_rate": reduction_rate(record),
+        "images_verified": int(run.lifted_robust.sum()),
+        "time": run.total_s,
+        "queries_run": run.lifted_robust.size,
+        "count": run.count,
+        "timed_out": run.timed_out,
+        "original_robust": int(run.original_robust.sum()),
+        "abstract_robust": int(run.abstract_robust.sum()),
+        "lifted_robust": int(run.lifted_robust.sum()),
+        "k_l": {str(layer): k for layer, k in sorted(record.k_l.items())},
+        "alpha": run.alpha,
+        "delta": delta,
+        "seed": record.seed,
+        "accuracy": {
+            "original": accuracy(record.original_net, run.val),
+            "abstract": accuracy(record.abstract_net, run.val),
+        },
+        "results": [
+            {
+                "query": i,
+                "original": _verdict_value(o),
+                "abstract": _verdict_value(a),
+                "lifted": _verdict_value(b),
+            }
+            for i, (o, a, b) in enumerate(zip(*verdicts))
+        ],
+        "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},
+        "timings": run.timings,
+    }
+    for key in ("command", "delta"):
+        if report[key] is None:
+            del report[key]
+    return report
+
+
 def pipeline(
     net: Network,
     ds: LabeledDataset,
@@ -206,14 +339,12 @@ def pipeline(
     queries,
     seed: int = 0,
     epsilon_norm: str = "l2",
-    val_fraction: float = 0.2,
 ) -> dict:
     """Abstract, verify, and lift in one pass; returns a JSON-ready report.
 
-    Splits ``ds`` deterministically, sizes each layer with the validation-split
-    search, abstracts on the larger split's inputs, then verifies all queries
-    at once on the abstract network and lifts the proven ones to the original
-    network (:func:`verify_and_lift`). Queries may differ in x and delta.
+    Runs :func:`abstract_verify_lift` on the queries, which may differ in x
+    and delta, and returns the report that ``bench`` prints, without its
+    ``command`` and ``delta``.
     """
     queries = list(queries)
     width = net.layer_sizes[0]
@@ -221,54 +352,5 @@ def pipeline(
         raise ValidationError(f"every query must have {width} features")
     points = np.array([q.x for q in queries], dtype=np.float64).reshape(len(queries), width)
     deltas = np.array([q.delta for q in queries], dtype=np.float64).reshape(points.shape)
-    train_part, val_part = split_dataset(ds, val_fraction, seed)
-
-    t0 = time.perf_counter()
-    record = search_abstraction(
-        net, train_part, alpha, seed=seed, epsilon_norm=epsilon_norm, val=val_part
-    )
-    t_abstract = time.perf_counter() - t0
-
-    run = verify_and_lift(record, points, deltas)
-    results = []
-    for i, (label, proven, lifted) in enumerate(
-        zip(run.labels, run.abstract_robust, run.lifted_robust)
-    ):
-        entry = {"query": i, "label": int(label), "abstract": _verdict_value(proven)}
-        if proven:
-            entry["lifted"] = _verdict_value(lifted)
-        results.append(entry)
-
-    eps_max = {
-        str(cl.layer): (float(cl.epsilons.max()) if cl.epsilons.size else 0.0)
-        for cl in record.clusterings
-    }
-    report = {
-        "schema": 1,
-        "seed": seed,
-        "alpha": alpha,
-        "k_l": {str(k): v for k, v in sorted(record.k_l.items())},
-        "reduction_rate": reduction_rate(record),
-        "removed_neurons": [
-            int(o - a)
-            for o, a in zip(
-                net.layer_sizes[1:-1], record.abstract_net.layer_sizes[1:-1]
-            )
-        ],
-        "validation_accuracy": {
-            "original": accuracy(net, val_part),
-            "abstract": accuracy(record.abstract_net, val_part),
-        },
-        "queries": len(queries),
-        "abstract_robust": int(run.abstract_robust.sum()),
-        "lifted_robust": int(run.lifted_robust.sum()),
-        "results": results,
-        "epsilon_max_per_layer": eps_max,
-        "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},
-        "timings": {
-            "abstract_s": t_abstract,
-            "verify_s": run.verify_s,
-            "lift_s": run.lift_s,
-        },
-    }
-    return report
+    run = abstract_verify_lift(net, ds, alpha, points, deltas, seed, epsilon_norm)
+    return run_report(run)

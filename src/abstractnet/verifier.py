@@ -167,24 +167,27 @@ def _verdict_value(proven) -> str:
 
 
 def robust_mask(bounds: LayerBounds, targets: np.ndarray) -> np.ndarray:
-    """Batched check_robust: boolean per query (True = proven robust)."""
+    """Batched check_robust: boolean per query (True = proven robust).
+
+    ``targets`` is a 1-D integer array with one class in [0, m) per query.
+    """
     lo = bounds.output_lower
     up = bounds.output_upper
     if lo.ndim != 2:
         raise ValidationError("robust_mask expects batched bounds")
-    targets = np.asarray(targets, dtype=np.int64)
     n, m = up.shape
+    targets = np.asarray(targets)
+    if targets.shape != (n,) or not np.issubdtype(targets.dtype, np.integer):
+        raise ValidationError(
+            f"targets must be {n} integers, got {targets.dtype} array of shape {targets.shape}"
+        )
+    if n and not (targets.min() >= 0 and targets.max() < m):
+        raise ValidationError(f"targets out of range for {m} outputs")
     if m == 1:
         return np.ones(n, dtype=bool)
     masked = up.copy()
     masked[np.arange(n), targets] = -np.inf
     return lo[np.arange(n), targets] > masked.max(axis=1)
-
-
-def verify_query(net: Network, query: RobustnessQuery) -> Verdict:
-    """Try to prove the network's own prediction at x stable over the box."""
-    target = int(net.classify(query.x))
-    return check_robust(ibp_bounds(net, query.x, query.delta), target)
 
 
 def falsify(

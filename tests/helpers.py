@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from abstractnet import Network, merge_cluster
+from abstractnet import Network
 from abstractnet.abstraction import AbstractionRecord, _fingerprint
 from abstractnet.clustering import LayerClustering
 
@@ -42,8 +42,28 @@ def toy_record(e: float = 0.0) -> AbstractionRecord:
         "l2",
         _fingerprint(X),
         X.shape[0],
-        abstract_net=merge_cluster(original, 3, (0, 1), 0),
+        abstract_net=toy_abstract_network(),
     )
+
+
+def singletons(layer: int, width: int) -> LayerClustering:
+    """The clustering that keeps every neuron of a layer."""
+    return LayerClustering(
+        layer, tuple((i,) for i in range(width)), tuple(range(width)), np.zeros(width)
+    )
+
+
+def merge_one_cluster(net: Network, layer: int, members) -> Network:
+    """``net`` with one cluster of a hidden layer merged into its smallest member,
+    through a hand-built clustering and ``AbstractionRecord(...).abstract_net``."""
+    width = net.width(layer)
+    members = tuple(sorted(members))
+    clusters = sorted([members, *((i,) for i in range(width) if i not in members)])
+    merged = LayerClustering(layer, tuple(clusters), tuple(c[0] for c in clusters), np.zeros(width))
+    clusterings = tuple(
+        merged if h == layer else singletons(h, net.width(h)) for h in net.hidden_layers
+    )
+    return AbstractionRecord(net, clusterings).abstract_net
 
 
 def legacy_record_json(record: AbstractionRecord) -> str:

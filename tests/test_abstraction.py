@@ -11,26 +11,28 @@ from abstractnet import (
     AbstractionRecord,
     FormatError,
     LabeledDataset,
+    LayerClustering,
     Network,
     ValidationError,
     abstract,
     accuracy,
     identify_clusters,
-    merge_cluster,
     reduction_rate,
     search_abstraction,
 )
 import abstractnet.abstraction
 from helpers import (
     legacy_record_json,
+    merge_one_cluster,
     random_network,
+    singletons,
     toy_abstract_network,
     toy_original_network,
     toy_record,
 )
 
 
-def test_merge_cluster_weight_surgery():
+def test_merge_weight_surgery():
     net = Network(
         (
             np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
@@ -38,7 +40,8 @@ def test_merge_cluster_weight_surgery():
         ),
         (np.array([0.1, 0.2, 0.3]), np.array([1.0])),
     )
-    merged = merge_cluster(net, 2, (0, 2), 0)
+    clustering = LayerClustering(2, ((0, 2), (1,)), (0, 1), np.zeros(3))
+    merged = AbstractionRecord(net, (clustering,)).abstract_net
     # non-representative rows and bias entries go away
     assert np.array_equal(merged.weights[0], np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.array_equal(merged.biases[0], np.array([0.1, 0.2]))
@@ -50,7 +53,7 @@ def test_merge_cluster_weight_surgery():
 
 def test_merge_duplicate_neurons_is_exact():
     original = toy_original_network()
-    merged = merge_cluster(original, 3, (0, 1), 0)
+    merged = merge_one_cluster(original, 3, (0, 1))
     target = toy_abstract_network()
     for got, want in zip(merged.weights, target.weights):
         assert np.array_equal(got, want)
@@ -72,31 +75,41 @@ def test_merge_planted_duplicates_preserves_outputs():
         ws[layer - 2][j] = ws[layer - 2][i]
         bs[layer - 2][j] = bs[layer - 2][i]
         planted = Network(tuple(ws), tuple(bs), net.output_activation)
-        merged = merge_cluster(planted, layer, (i, j), i)
+        merged = merge_one_cluster(planted, layer, (i, j))
+        assert merged.width(layer) == width - 1
         X = rng.normal(size=(16, net.layer_sizes[0]))
         # summation order changes (a*c1 + a*c2 vs a*(c1+c2)), so allow rounding
         assert np.allclose(planted.forward(X), merged.forward(X), rtol=1e-9, atol=1e-12)
 
 
-def test_merge_cluster_validation():
+def test_merge_validation():
     net = toy_original_network()
-    with pytest.raises(ValidationError):
-        merge_cluster(net, 1, (0, 1), 0)  # input layer
-    with pytest.raises(ValidationError):
-        merge_cluster(net, 4, (0, 1), 0)  # output layer
-    with pytest.raises(ValidationError):
-        merge_cluster(net, 3, (), 0)
-    with pytest.raises(ValidationError):
-        merge_cluster(net, 3, (0, 1), 2)  # rep not a member
-    with pytest.raises(ValidationError):
-        merge_cluster(net, 3, (0, 5), 0)  # index out of range
+    keep2, keep3 = singletons(2, 2), singletons(3, 2)
+    pair = ((0, 1),)
+    with pytest.raises(ValidationError):  # input layer
+        AbstractionRecord(net, (LayerClustering(1, pair, (0,), np.zeros(2)), keep3))
+    with pytest.raises(ValidationError):  # output layer
+        AbstractionRecord(net, (keep2, LayerClustering(4, pair, (0,), np.zeros(2))))
+    with pytest.raises(ValidationError):  # one clustering too many
+        AbstractionRecord(net, (keep2, keep3, LayerClustering(4, pair, (0,), np.zeros(2))))
+    with pytest.raises(ValidationError):  # empty cluster
+        LayerClustering(3, ((0, 1), ()), (0, 1), np.zeros(2))
+    with pytest.raises(ValidationError):  # rep not a member
+        LayerClustering(3, pair, (2,), np.zeros(2))
+    with pytest.raises(ValidationError):  # index out of range
+        LayerClustering(3, ((0, 5),), (0,), np.zeros(2))
+    wide = LayerClustering(3, ((0, 5), (1,), (2,), (3,), (4,)), (0, 1, 2, 3, 4), np.zeros(6))
+    with pytest.raises(ValidationError):  # more neurons than the layer has
+        AbstractionRecord(net, (keep2, wide))
 
 
 def test_singleton_merge_is_identity():
     net = toy_original_network()
-    same = merge_cluster(net, 2, (1,), 1)
-    for got, want in zip(same.weights, net.weights):
-        assert np.array_equal(got, want)
+    same = AbstractionRecord(net, (singletons(2, 2), singletons(3, 2))).abstract_net
+    layer_pass = abstractnet.abstraction._merge_layer(net, 2, singletons(2, 2))
+    for merged in (same, layer_pass):
+        for got, want in zip(merged.weights + merged.biases, net.weights + net.biases):
+            assert np.array_equal(got, want)
 
 
 def test_abstract_identity_when_k_omitted():

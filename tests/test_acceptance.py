@@ -30,7 +30,6 @@ from abstractnet import (
     lifted_bounds,
     loss_and_grads,
     make_synthetic_digits,
-    merge_cluster,
     pipeline,
     reduction_rate,
     robust_mask,
@@ -40,6 +39,7 @@ from abstractnet import (
     train,
 )
 from helpers import (
+    merge_one_cluster,
     random_k_l,
     random_network,
     strip_timings,
@@ -112,7 +112,8 @@ def test_criterion_2_duplicate_merge_exact():
         ws[layer - 2][dup] = ws[layer - 2][src]
         bs[layer - 2][dup] = bs[layer - 2][src]
         planted = Network(tuple(ws), tuple(bs), net.output_activation)
-        merged = merge_cluster(planted, layer, sorted((src, dup)), min(src, dup))
+        merged = merge_one_cluster(planted, layer, (src, dup))
+        assert merged.width(layer) == width - 1
         X = rng.normal(size=(64, net.layer_sizes[0]))
         ya = planted.forward(X)
         yb = merged.forward(X)

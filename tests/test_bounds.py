@@ -1,4 +1,4 @@
-"""Abstraction error recurrence, combined error budget, and the naive check."""
+"""Abstraction error recurrence and the combined error budget."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from abstractnet import (
     Network,
     ValidationError,
-    Verdict,
     abstract,
     clustering_error,
-    naive_robust_check,
     total_error,
 )
 from helpers import random_k_l, random_network, toy_record
@@ -121,17 +119,18 @@ def test_total_error_validation():
 
 
 def test_naive_check_margins():
-    # toy outputs at (1,1) are (9, 2); the check needs 7 > T0 + T1
-    x = np.array([1.0, 1.0])
-    assert naive_robust_check(toy_record(3.4), x, 0.0) is Verdict.ROBUST
-    assert naive_robust_check(toy_record(3.5), x, 0.0) is Verdict.UNKNOWN
-    assert naive_robust_check(toy_record(3.6), x, 0.0) is Verdict.UNKNOWN
+    # toy outputs at (1,1) are (9, 2): output 0 keeps its lead over output 1
+    # under the error budget T iff 9 - T0 > 2 + T1, i.e. T0 + T1 < 7
+    y = toy_record(0.0).abstract_net.forward(np.array([1.0, 1.0]))
+    assert y.tolist() == [9.0, 2.0]
+
+    def margin(e, delta):
+        T = total_error(toy_record(e), delta)
+        return (y[0] - T[0]) - (y[1] + T[1])
+
+    assert margin(3.4, 0.0) > 0
+    assert margin(3.5, 0.0) <= 0
+    assert margin(3.6, 0.0) <= 0
     # with e = 0 the budget is 12*delta
-    assert naive_robust_check(toy_record(0.0), x, 0.5) is Verdict.ROBUST
-    assert naive_robust_check(toy_record(0.0), x, 0.6) is Verdict.UNKNOWN
-
-
-def test_naive_check_rejects_batches():
-    record = toy_record(0.0)
-    with pytest.raises(ValidationError):
-        naive_robust_check(record, np.ones((2, 2)), 0.1)
+    assert margin(0.0, 0.5) > 0
+    assert margin(0.0, 0.6) <= 0

@@ -7,7 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from abstractnet import AbstractionRecord, Network, ValidationError
+from abstractnet import (
+    AbstractionRecord, Network, RobustnessQuery, ValidationError, make_synthetic_digits,
+    pipeline,
+)
 from abstractnet.cli import main
 from helpers import legacy_record_json, strip_timings
 
@@ -270,6 +273,27 @@ def test_bench_record_out(workdir, tmp_path):
     )
     assert rc == 0
     assert AbstractionRecord.load(record_path).abstract_net.layer_sizes[0] == 64
+
+
+def test_bench_and_pipeline_agree(workdir):
+    # the same net, data, alpha, seed, queries and delta: pipeline()'s report
+    # is bench's without the command name and the delta
+    d, _, _ = workdir
+    n, delta = 120, 0.01
+    rc, out, _ = run_cli(
+        ["bench", "--net", str(d / "net.json"), *SYNTH, "--alpha", "0.1",
+         "--delta", str(delta), "--count", str(n), "--seed", "5"]
+    )
+    assert rc == 0
+    bench = json.loads(out)
+    ds = make_synthetic_digits(150, seed=0, noise=0.15)
+    queries = [RobustnessQuery(x, delta) for x in ds.inputs[:n]]
+    report = pipeline(Network.load(d / "net.json"), ds, 0.1, queries, seed=5)
+    assert bench["queries_run"] == n and bench["original_robust"] > 0
+    # k_l, removed_neurons, accuracy, the verdict counts and every row included
+    expected = {k: v for k, v in bench.items() if k not in ("command", "delta")}
+    assert list(report) == list(expected)
+    assert strip_timings(json.loads(json.dumps(report))) == strip_timings(expected)
 
 
 def test_missing_and_malformed_files(workdir, tmp_path):

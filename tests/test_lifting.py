@@ -315,9 +315,10 @@ def test_pipeline_accepts_no_queries():
     inputs = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0], [-2.0, 1.0], [0.5, 0.5]])
     ds = LabeledDataset(inputs, (inputs[:, 0] < 0).astype(int))
     report = pipeline(net, ds, alpha=0.5, queries=[], seed=0)
-    assert report["queries"] == 0
+    assert report["count"] == report["queries_run"] == 0
     assert report["results"] == []
-    assert report["abstract_robust"] == report["lifted_robust"] == 0
+    assert report["original_robust"] == report["abstract_robust"] == report["lifted_robust"] == 0
+    assert report["timed_out"] is False
 
 
 def test_pipeline_report_shape():
@@ -335,15 +336,21 @@ def test_pipeline_report_shape():
     queries = [RobustnessQuery(inputs[i], 0.01) for i in range(5)]
     report = pipeline(net, ds, alpha=0.9, queries=queries, seed=0)
     assert report["schema"] == 1
-    assert report["queries"] == 5
+    assert "command" not in report and "delta" not in report
+    assert report["count"] == report["queries_run"] == 5
     assert len(report["results"]) == 5
+    assert set(report["results"][0]) == {"query", "original", "abstract", "lifted"}
     assert 0 <= report["lifted_robust"] <= report["abstract_robust"] <= 5
+    assert report["images_verified"] == report["lifted_robust"]
     assert report["notes"]["epsilon_scope"] == EPSILON_SCOPE_NOTE
     assert all(isinstance(k, str) for k in report["k_l"])
-    assert set(report["validation_accuracy"]) == {"original", "abstract"}
+    assert set(report["accuracy"]) == {"original", "abstract"}
     assert 0.0 <= report["reduction_rate"] < 1.0
-    assert set(report["timings"]) == {"abstract_s", "verify_s", "lift_s"}
+    assert report["removed_neurons"] == 2
+    assert set(report["timings"]) == {
+        "abstract_s", "original_verify_s", "abstract_verify_s", "lift_s"
+    }
     # duplicate pairs merge, so the report shows a real reduction
     assert report["reduction_rate"] >= 0.5
-    assert report["abstract_robust"] == 5
+    assert report["original_robust"] == report["abstract_robust"] == 5
     assert report["lifted_robust"] == 5

@@ -12,7 +12,6 @@ from abstractnet import (
     falsify,
     ibp_bounds,
     robust_mask,
-    verify_query,
 )
 from helpers import random_network, toy_abstract_network
 
@@ -159,12 +158,21 @@ def test_robust_mask_matches_scalar_check():
         robust_mask(ibp_bounds(net, X[0], 0.05), targets[:1])
 
 
-def test_verify_query_toy():
+def test_robust_mask_toy():
     net = toy_abstract_network()
-    x = np.array([0.0, 0.0])
-    assert verify_query(net, RobustnessQuery(x, 1.0)) is Verdict.ROBUST
+    X = np.zeros((1, 2))
+    targets = net.classify(X)
+    assert robust_mask(ibp_bounds(net, X, 1.0), targets).tolist() == [True]
     # a wide box lets output 1 overtake: 5 + 4d < 0 + ... needs big d
-    assert verify_query(net, RobustnessQuery(x, 10.0)) is Verdict.UNKNOWN
+    assert robust_mask(ibp_bounds(net, X, 10.0), targets).tolist() == [False]
+
+
+def test_robust_mask_rejects_bad_targets():
+    bounds = LayerBounds((np.array([[3.0, 0.0, 0.0]]),), (np.array([[4.0, 1.0, 1.0]]),))
+    assert robust_mask(bounds, np.array([0])).tolist() == [True]
+    for bad in (np.array([-3]), np.array([0, 0]), np.array([3]), np.array([2.7])):
+        with pytest.raises(ValidationError):
+            robust_mask(bounds, bad)
 
 
 def test_falsify_finds_witness_near_boundary():
