@@ -24,7 +24,6 @@ from .clustering import (
     cluster_layer,
     epsilon_vector,
     kmeans,
-    pick_representative,
 )
 from .abstraction import (
     AbstractionRecord,
@@ -75,7 +74,6 @@ __all__ = [
     "kmeans",
     "LayerClustering",
     "cluster_layer",
-    "pick_representative",
     "epsilon_vector",
     "abstract",
     "identify_clusters",

@@ -94,30 +94,76 @@ class KMeansSeeding:
     a longer draw are exactly the centres a fresh draw of k picks. One seeding
     therefore serves every k that a cluster-count search tries on a layer: it
     draws up to the largest k asked for, once.
+
+    Squared distances are read off one Gram matrix ``points @ points.T``,
+    built the first time a second centre is drawn, so each further centre
+    costs O(n) instead of a pass over the points. Rows within the Gram form's
+    round-off of a centre are measured directly, so exact duplicates (dead
+    all-zero neurons among them) keep distance exactly 0. The matrix holds
+    n² doubles and costs O(n²·d) to build whatever k is, so a small k on a
+    very wide layer pays more than n·k distance rows would; layers up to 128
+    neurons wide have been measured.
     """
 
     def __init__(self, points: np.ndarray, seed: int):
         self.points = points
         self._rng = np.random.default_rng(seed)
         self._chosen: list[int] = []
-        self._d2 = None  # squared distance of each point to its nearest chosen centre
+        self._d2 = None  # squared distance of each point to its nearest folded-in centre
+        self._folded = 0  # how many chosen centres _d2 accounts for
+        self._sq = None  # squared row norms and Gram matrix, built on first use
+        self._gram = None
 
     def centres(self, k: int) -> np.ndarray:
         """The first k centres (a copy), spread by squared-distance sampling."""
         points, chosen, rng = self.points, self._chosen, self._rng
         n = points.shape[0]
         while len(chosen) < k:
-            if self._d2 is None:
+            d2 = self._nearest()
+            if d2 is None:
                 i = int(rng.integers(n))
-            elif (total := self._d2.sum()) <= 0.0:
+            elif (total := d2.sum()) <= 0.0:
                 # all remaining points coincide with a centroid; pick any unused index
                 i = int(rng.choice([j for j in range(n) if j not in chosen]))
             else:
-                i = int(rng.choice(n, p=self._d2 / total))
+                i = int(rng.choice(n, p=d2 / total))
             chosen.append(i)
-            d2 = np.sum((points - points[i]) ** 2, axis=1)
-            self._d2 = d2 if self._d2 is None else np.minimum(self._d2, d2)
         return points[chosen[:k]].copy()
+
+    def _nearest(self) -> np.ndarray | None:
+        """Squared distance of each point to its nearest chosen centre; None before the first."""
+        for i in self._chosen[self._folded :]:
+            d2 = self._distances(i)
+            self._d2 = d2 if self._d2 is None else np.minimum(self._d2, d2)
+        self._folded = len(self._chosen)
+        return self._d2
+
+    def _distances(self, i: int) -> np.ndarray:
+        """Squared distance of every point to point i."""
+        points = self.points
+        if self._gram is None:
+            self._sq = np.sum(points * points, axis=1)
+            self._gram = points @ points.T
+        scale = self._sq + self._sq[i]
+        d2 = np.maximum(scale - 2.0 * self._gram[i], 0.0)
+        # Each Gram distance is off by at most about d units of round-off of
+        # |p|^2 + |p_i|^2. Rows that close to point i are measured directly,
+        # so a row equal to it gets exactly 0.
+        slack = 4.0 * (points.shape[1] + 2) * np.finfo(np.float64).eps
+        near = np.flatnonzero(d2 <= slack * scale)
+        d2[near] = np.sum((points[near] - points[i]) ** 2, axis=1)
+        return d2
+
+
+def _members(assign: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each cluster's row indices in ascending order, from one stable sort."""
+    order = np.argsort(assign, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
+
+
+def _cluster_means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Each cluster's mean row, bit-equal to ``points[assign == c].mean(axis=0)``."""
+    return np.stack([points[rows].mean(axis=0) for rows in _members(assign, k)])
 
 
 def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
@@ -125,11 +171,14 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
 
     Deterministic for a fixed seed. ``seed`` may also be a
     :class:`KMeansSeeding` drawn on these points, which gives the same clusters
-    as its integer seed and shares its draws across calls. Stops when
-    assignments no longer change or after ``KMEANS_MAX_ITER`` iterations.
-    Empty clusters are repaired by stealing the point currently farthest from
-    its own centroid. Duplicate rows are fine: with more clusters than distinct
-    rows, some clusters end up sharing a value.
+    as its integer seed and shares its draws across calls. The seeding reads
+    one Gram matrix of the points, in which exact duplicate rows keep distance
+    exactly 0. Rows are assigned by ``|p|^2 - 2 p.c + |c|^2`` against the
+    member means of the previous step. Stops when assignments no longer
+    change or after ``KMEANS_MAX_ITER`` iterations. Empty clusters are
+    repaired by stealing the point currently farthest from its own centroid.
+    Duplicate rows are fine: with more clusters than distinct rows, some
+    clusters end up sharing a value.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -145,47 +194,34 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
         centroids = seed.centres(k)
     else:
         centroids = KMeansSeeding(points, seed).centres(k)
+    sq = np.sum(points * points, axis=1)[:, None]
     assign = np.full(n, -1, dtype=np.int64)
     prev_obj = np.inf
     for _ in range(KMEANS_MAX_ITER):
-        d2 = (
-            np.sum(points * points, axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.sum(centroids * centroids, axis=1)[None, :]
-        )
+        d2 = sq - 2.0 * points @ centroids.T + np.sum(centroids * centroids, axis=1)[None, :]
         new_assign = np.argmin(d2, axis=1)
-        # repair empty clusters: steal the point farthest from its centroid
-        for c in range(k):
-            if not np.any(new_assign == c):
-                dist_own = np.sum((points - centroids[new_assign]) ** 2, axis=1)
-                counts = np.bincount(new_assign, minlength=k)
-                dist_own[counts[new_assign] <= 1] = -1.0  # do not empty another cluster
-                thief = int(np.argmax(dist_own))
+        counts = np.bincount(new_assign, minlength=k)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # repair empty clusters in index order: each steals the point
+            # farthest from its own centroid, never the last of a cluster (a
+            # thief is then the last of its new one)
+            dist_own = np.sum((points - centroids[new_assign]) ** 2, axis=1)
+            for c in empty:
+                thief = int(np.argmax(np.where(counts[new_assign] <= 1, -1.0, dist_own)))
+                counts[new_assign[thief]] -= 1
+                counts[c] = 1
                 new_assign[thief] = c
                 centroids[c] = points[thief]
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(k):
-            members = points[assign == c]
-            centroids[c] = members.mean(axis=0)
+        centroids = _cluster_means(points, assign, k)
         obj = _wcss(points, centroids, assign)
         if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
             raise AbstractnetError(f"k-means objective rose from {prev_obj} to {obj}")
         prev_obj = obj
-    return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
-
-
-def pick_representative(cluster, points: np.ndarray, centroid: np.ndarray | None = None) -> int:
-    """Member whose row is closest to the cluster centroid; ties pick the lowest index."""
-    members = sorted(int(i) for i in cluster)
-    if not members:
-        raise ValidationError("cluster is empty")
-    rows = points[members]
-    if centroid is None:
-        centroid = rows.mean(axis=0)
-    d2 = np.sum((rows - centroid) ** 2, axis=1)
-    return members[int(np.argmin(d2))]
+    return [rows.tolist() for rows in _members(assign, k)]
 
 
 def epsilon_vector(points: np.ndarray, clusters, representatives, norm: str = "l2") -> np.ndarray:
@@ -211,15 +247,19 @@ def cluster_layer(
     """Cluster one layer's activation rows and package the result.
 
     ``seed`` is passed to :func:`kmeans`: an int, or a seeding drawn on ``act.values``.
+    Each cluster's representative is the member whose row is closest to the
+    cluster's mean row; ties pick the lowest index.
     """
     points = act.values
     raw = kmeans(points, k, seed=seed)
-    paired = []
-    for members in raw:
-        rep = pick_representative(members, points)
-        paired.append((rep, tuple(members)))
-    paired.sort()
-    reps = tuple(rep for rep, _ in paired)
-    clusters = tuple(members for _, members in paired)
+    assign = np.empty(points.shape[0], dtype=np.int64)
+    assign[np.concatenate(raw)] = np.repeat(np.arange(k), [len(members) for members in raw])
+    d2 = np.sum((points - _cluster_means(points, assign, k)[assign]) ** 2, axis=1)
+    nearest_first = np.lexsort((d2, assign))  # per cluster; a stable sort, so ties keep index order
+    leads = np.r_[True, np.diff(assign[nearest_first]) != 0]
+    reps = nearest_first[leads]  # cluster c's representative at position c
+    by_rep = np.argsort(reps)
+    clusters = tuple(tuple(raw[c]) for c in by_rep)
+    reps = tuple(reps[by_rep].tolist())
     eps = epsilon_vector(points, clusters, reps, norm=norm)
     return LayerClustering(layer=act.layer, clusters=clusters, representatives=reps, epsilons=eps)

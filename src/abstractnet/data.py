@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .network import Network
+from .network import Network, _forward_layers
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -216,7 +216,8 @@ def collect_activations(net: Network, X: np.ndarray, layer: int) -> ActivationMa
     """Post-activation values of one hidden layer over the input set X.
 
     ``layer`` is 1-based; only hidden layers (2..L-1) are accepted. The result
-    has one row per neuron and one column per input.
+    has one row per neuron and one column per input. The forward pass stops at
+    ``layer``, with the same arithmetic as the full pass up to there.
     """
     if not 2 <= layer <= net.num_layers - 1:
         raise ValidationError(
@@ -225,5 +226,8 @@ def collect_activations(net: Network, X: np.ndarray, layer: int) -> ActivationMa
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError(f"X must be a non-empty (n, d) array, got shape {X.shape}")
-    trace = net.forward_trace(X)
-    return ActivationMatrix(layer=layer, values=trace.activations[layer - 1].T.copy())
+    depth = layer - 1
+    _, acts = _forward_layers(
+        net.weights[:depth], net.biases[:depth], net._check_input(X), relu_output=True
+    )
+    return ActivationMatrix(layer=layer, values=acts[-1].T.copy())

@@ -148,11 +148,14 @@ def check_robust(bounds: LayerBounds, target: int) -> Verdict:
     """ROBUST iff the target's lower bound strictly beats every other upper bound.
 
     Interval failure is never a counterexample, so the alternative is UNKNOWN.
+    ``target`` is a Python or numpy integer (not a bool) in [0, m).
     """
     lo = bounds.output_lower
     up = bounds.output_upper
     if lo.ndim != 1:
         raise ValidationError("check_robust expects single-query bounds")
+    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+        raise ValidationError(f"target must be an integer, got {target!r}")
     if not 0 <= target < lo.shape[0]:
         raise ValidationError(f"target {target} out of range for {lo.shape[0]} outputs")
     others = np.delete(up, target)

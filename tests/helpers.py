@@ -1,4 +1,5 @@
-"""Shared builders for the hand-checked toy networks used across tests."""
+"""Shared builders for the hand-checked toy networks used across tests, and
+reference implementations that tests compare the package against."""
 
 import json
 
@@ -6,7 +7,7 @@ import numpy as np
 
 from abstractnet import Network
 from abstractnet.abstraction import AbstractionRecord, _fingerprint
-from abstractnet.clustering import LayerClustering
+from abstractnet.clustering import KMEANS_MAX_ITER, LayerClustering, epsilon_vector
 
 
 def toy_abstract_network() -> Network:
@@ -100,3 +101,74 @@ def strip_timings(report):
     if isinstance(report, list):
         return [strip_timings(v) for v in report]
     return report
+
+
+# Reference k-means written the plain way: seeding distances measured row by
+# row, Lloyd's loop one cluster at a time, one representative per call. The
+# package's Gram-matrix seeding and vectorised loop must match them bit for bit.
+
+
+def fresh_kmeans_pp(points, k, seed):
+    """k-means++ seeding written out: k centres drawn from scratch under one seed."""
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            chosen.append(int(rng.choice([i for i in range(n) if i not in chosen])))
+        else:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
+    return points[chosen]
+
+
+def reference_kmeans(points, k, seed):
+    """Lloyd's loop one cluster at a time; k lists of row indices."""
+    n = points.shape[0]
+    if k == n:
+        return [[i] for i in range(n)]
+    centroids = fresh_kmeans_pp(points, k, seed)
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = (
+            np.sum(points * points, axis=1)[:, None]
+            - 2.0 * points @ centroids.T
+            + np.sum(centroids * centroids, axis=1)[None, :]
+        )
+        new_assign = np.argmin(d2, axis=1)
+        for c in range(k):
+            if not np.any(new_assign == c):
+                dist_own = np.sum((points - centroids[new_assign]) ** 2, axis=1)
+                counts = np.bincount(new_assign, minlength=k)
+                dist_own[counts[new_assign] <= 1] = -1.0
+                thief = int(np.argmax(dist_own))
+                new_assign[thief] = c
+                centroids[c] = points[thief]
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            centroids[c] = points[assign == c].mean(axis=0)
+    return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
+
+
+def reference_pick_representative(members, points):
+    """Member whose row is closest to the members' mean row; ties pick the lowest index."""
+    members = sorted(int(i) for i in members)
+    rows = points[members]
+    d2 = np.sum((rows - rows.mean(axis=0)) ** 2, axis=1)
+    return members[int(np.argmin(d2))]
+
+
+def reference_cluster_layer(points, raw_clusters, norm="l2"):
+    """(clusters, representatives, epsilons) as cluster_layer built them from
+    the k-means clusters ``raw_clusters``, one cluster at a time."""
+    paired = sorted(
+        (reference_pick_representative(members, points), tuple(members))
+        for members in raw_clusters
+    )
+    reps = tuple(rep for rep, _ in paired)
+    clusters = tuple(members for _, members in paired)
+    return clusters, reps, epsilon_vector(points, clusters, reps, norm=norm)

@@ -14,9 +14,9 @@ from abstractnet import (
     cluster_layer,
     epsilon_vector,
     kmeans,
-    pick_representative,
 )
 from abstractnet.clustering import KMeansSeeding
+from helpers import fresh_kmeans_pp, reference_cluster_layer, reference_kmeans
 
 
 def brute_force_best_wcss(points, k):
@@ -101,22 +101,6 @@ def test_kmeans_raises_when_objective_rises(monkeypatch):
         kmeans(points, 6, seed=0)
 
 
-def fresh_kmeans_pp(points, k, seed):
-    """k-means++ seeding written out: k centres drawn from scratch under one seed."""
-    rng = np.random.default_rng(seed)
-    n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            chosen.append(int(rng.choice([i for i in range(n) if i not in chosen])))
-        else:
-            chosen.append(int(rng.choice(n, p=d2 / total)))
-        d2 = np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
-    return points[chosen]
-
-
 def test_shared_seeding_prefix_matches_fresh_draw():
     # the first k centres of one lazily extended seeding are the centres a
     # fresh draw of k picks, whatever order the k are asked for in
@@ -138,17 +122,97 @@ def test_shared_seeding_prefix_matches_fresh_draw():
         kmeans(random_points, 2, seed=KMeansSeeding(random_points + 1.0, 0))
 
 
+def relu_like_points(rng, n, d):
+    """Non-negative activation rows with dead (all-zero) neurons, exact
+    duplicates and 1e-3-noise near-duplicates mixed in."""
+    points = np.maximum(rng.normal(size=(n, d)) + rng.normal(size=(n, 1)), 0.0)
+    rows = rng.permutation(n)
+    dead, copies, near = np.split(rows[: int(n * rng.uniform(0.1, 0.9))], [n // 10, n // 3])
+    points[dead] = 0.0
+    points[copies] = points[rng.choice(rows[len(dead) :], copies.size)]
+    noise = 1e-3 * rng.normal(size=(near.size, d))
+    points[near] = np.maximum(points[rng.integers(0, n, near.size)] + noise, 0.0)
+    return points
+
+
+def oracle_cases():
+    """About 40 seeded matrices, n in [8, 128] and d in [5, 600], plus single-
+    and two-column ones, each with the k values to cluster it at. k = n - 1,
+    and on the smaller matrices k one past the distinct row count, exceed the
+    distinct rows: the seeding then places duplicate centres, which leave
+    clusters empty for the repair. (One past the count can keep Lloyd's loop
+    repairing until its iteration cap, hence only on small matrices.)"""
+    rng = np.random.default_rng(2024)
+    shapes = [(int(rng.integers(8, 129)), int(np.exp(rng.uniform(np.log(5), np.log(600)))))
+              for _ in range(38)]
+    for n, d in shapes + [(24, 1), (40, 2), (30, 1)]:
+        points = relu_like_points(rng, n, d)
+        distinct = len(np.unique(points, axis=0))
+        ks = {1, 2, int(rng.integers(1, distinct + 1)), n - 1, n}
+        if n <= 24:
+            ks.add(min(distinct + 1, n))
+        yield points, int(rng.integers(1000)), sorted(ks)
+
+
+def test_gram_seeding_matches_direct_draws():
+    # every k up to n: the draws pass through exact duplicates and all-zero
+    # rows, and into the total <= 0 branch once only duplicates are left
+    reached_exhaustion = 0
+    for points, seed, _ in oracle_cases():
+        n = points.shape[0]
+        expected = fresh_kmeans_pp(points, n, seed)
+        seeding = KMeansSeeding(points, seed)
+        for k in np.random.default_rng(seed).permutation(np.arange(1, n + 1)):
+            assert np.array_equal(seeding.centres(int(k)), expected[:k])
+        reached_exhaustion += len(np.unique(points, axis=0)) < n
+    assert reached_exhaustion >= 30
+
+
+def test_kmeans_and_cluster_layer_match_reference():
+    # identical clusters, representatives and epsilons to the loop written one
+    # cluster at a time, including k past the distinct row count, where
+    # duplicate centres leave clusters empty and the repair runs
+    for points, seed, ks in oracle_cases():
+        act = ActivationMatrix(layer=2, values=points)
+        seeding = KMeansSeeding(points, seed)
+        for k in ks:
+            raw = reference_kmeans(points, k, seed)
+            assert kmeans(points, k, seed=seed) == raw
+            norm = ("l2", "linf")[k % 2]
+            clusters, reps, eps = reference_cluster_layer(points, raw, norm)
+            lc = cluster_layer(act, k, seed=seeding, norm=norm)
+            assert lc.clusters == clusters and lc.representatives == reps
+            assert np.array_equal(lc.epsilons, eps)
+
+
+def test_cluster_means_equal_per_cluster_means():
+    # the sorted, split centroid update gives each cluster the bits of the
+    # masked mean, for one column as for many
+    rng = np.random.default_rng(6)
+    for trial in range(200):
+        n = int(rng.integers(1, 150))
+        d = (1, 2, 3, 40, 700)[trial % 5]
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        k = int(rng.integers(1, min(n, 12) + 1))
+        assign = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(assign)
+        expected = np.stack([points[assign == c].mean(axis=0) for c in range(k)])
+        assert np.array_equal(abstractnet.clustering._cluster_means(points, assign, k), expected)
+
+
 def test_pick_representative_middle_point():
     # centroid of {0, 1, 5} is 2; the middle point is nearest
     points = np.array([[0.0], [1.0], [5.0]])
-    assert pick_representative([0, 1, 2], points) == 1
+    lc = cluster_layer(ActivationMatrix(layer=2, values=points), 1)
+    assert lc.representatives == (1,)
 
 
 def test_pick_representative_tie_takes_lowest_index():
     points = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert pick_representative([0, 1], points) == 0
-    with pytest.raises(ValidationError):
-        pick_representative([], points)
+    lc = cluster_layer(ActivationMatrix(layer=2, values=points), 1)
+    assert lc.representatives == (0,)
+    with pytest.raises(ValidationError):  # a cluster with no member has no representative
+        LayerClustering(2, ((0, 1), ()), (0, 1), np.zeros(2))
 
 
 def test_epsilon_vector_euclidean_golden():

@@ -252,6 +252,26 @@ def test_collect_activations_golden():
     assert act.layer == 2
 
 
+def test_collect_activations_stops_at_its_layer_bit_for_bit():
+    # the pass stops at the requested layer; every hidden layer still equals
+    # the full forward trace exactly, whatever the output activation
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 5))
+    for output_activation in ("identity", "relu"):
+        sizes = (5, 9, 7, 8, 3)
+        ws = tuple(rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:]))
+        bs = tuple(rng.normal(size=o) for o in sizes[1:])
+        net = Network(ws, bs, output_activation=output_activation)
+        trace = net.forward_trace(X)
+        for layer in net.hidden_layers:
+            act = collect_activations(net, X, layer)
+            assert np.array_equal(act.values, trace.activations[layer - 1].T)
+    with pytest.raises(ValidationError):  # inputs are still checked against the net
+        collect_activations(net, X[:, :4], 2)
+    with pytest.raises(ValidationError):
+        collect_activations(net, np.full((2, 5), np.nan), 2)
+
+
 def test_collect_activations_rejects_non_hidden():
     net = toy_abstract_network()
     X = np.array([[1.0, 1.0]])

@@ -144,6 +144,15 @@ def test_check_robust_single_output_and_validation():
         check_robust(batched, 0)
 
 
+def test_check_robust_rejects_non_integer_targets():
+    bounds = LayerBounds((np.array([3.0, 0.0, 0.0]),), (np.array([4.0, 1.0, 1.0]),))
+    for bad in (2.7, True, np.float64(1.0), np.True_, "1"):
+        with pytest.raises(ValidationError):
+            check_robust(bounds, bad)
+    assert check_robust(bounds, np.int64(1)) is Verdict.UNKNOWN
+    assert check_robust(bounds, np.int32(0)) is Verdict.ROBUST
+
+
 def test_robust_mask_matches_scalar_check():
     rng = np.random.default_rng(12)
     net = random_network(rng, sizes=(3, 6, 4))
