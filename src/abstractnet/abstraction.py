@@ -63,15 +63,14 @@ def _json_int(value, what: str = "index") -> int:
 class AbstractionRecord:
     """Everything produced by one abstraction run.
 
-    Holds both networks plus, per hidden layer of the original, the clusters,
-    representatives, and per-original-neuron epsilons measured during merging.
-    The record is self-contained: error bounds and lifted interval bounds are
-    functions of the record (and a query) alone. Construction derives the
-    abstract network by merging the original layer by layer with the recorded
-    clusterings. An ``abstract_net`` passed in, such as one read from a file
-    that stores it, must equal that merge, so a record loaded from disk is
-    checked, not trusted. ``_memo`` caches what is derived from it, such as the
-    lift operator.
+    A record is the original network plus, per hidden layer, the clusters,
+    representatives, and per-original-neuron epsilons measured during merging;
+    that is all a record file stores. Everything else is derived from it once,
+    at construction: ``abstract_net``, the merge of the original layer by layer
+    with the recorded clusterings, and ``layers``, one clustering per layer
+    1..L, the identity at the input and output layers. Error bounds and lifted
+    interval bounds are functions of the record (and a query) alone. ``_memo``
+    caches what is derived later, such as the lift operator.
     """
 
     original_net: Network
@@ -80,21 +79,23 @@ class AbstractionRecord:
     epsilon_norm: str = "l2"
     input_fingerprint: str = ""
     num_inputs: int = 0
-    abstract_net: Network | None = None
+    abstract_net: Network = field(init=False)
+    layers: tuple[LayerClustering, ...] = field(init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         orig = self.original_net
-        if len(self.clusterings) != orig.num_layers - 2:
+        L = orig.num_layers
+        if len(self.clusterings) != L - 2:
             raise ValidationError(
-                f"expected one clustering per hidden layer ({orig.num_layers - 2}), "
-                f"got {len(self.clusterings)}"
+                f"expected one clustering per hidden layer ({L - 2}), got {len(self.clusterings)}"
             )
         merged = orig
-        for offset, cl in enumerate(self.clusterings):
-            layer = offset + 2
+        for layer, cl in enumerate(self.clusterings, start=2):
             if cl.layer != layer:
-                raise ValidationError(f"clustering {offset} labeled layer {cl.layer}, expected {layer}")
+                raise ValidationError(
+                    f"clustering {layer - 2} labeled layer {cl.layer}, expected {layer}"
+                )
             if cl.num_neurons != orig.width(layer):
                 raise ValidationError(
                     f"layer {layer}: clustering covers {cl.num_neurons} neurons, "
@@ -102,26 +103,19 @@ class AbstractionRecord:
                 )
             if cl.num_clusters < cl.num_neurons:
                 merged = _merge_layer(merged, layer, cl)
-        abst = self.abstract_net
-        if abst is None:
-            object.__setattr__(self, "abstract_net", merged)
-        elif not (
-            merged.layer_sizes == abst.layer_sizes
-            and merged.output_activation == abst.output_activation
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(merged.weights + merged.biases, abst.weights + abst.biases)
-            )
-        ):
-            raise ValidationError(
-                "the abstract network differs from the merge of the original network "
-                "by the recorded clusterings"
-            )
+        object.__setattr__(self, "abstract_net", merged)
+        first, last = (LayerClustering.identity(layer, orig.width(layer)) for layer in (1, L))
+        object.__setattr__(self, "layers", (first, *self.clusterings, last))
 
     @property
     def k_l(self) -> dict[int, int]:
         """Cluster count per hidden layer (1-based layer index)."""
         return {cl.layer: cl.num_clusters for cl in self.clusterings}
+
+    @property
+    def removed_neurons(self) -> int:
+        """Hidden neurons the abstraction removed, over all layers."""
+        return sum(cl.num_neurons - cl.num_clusters for cl in self.clusterings)
 
     def clustering_for(self, layer: int) -> LayerClustering:
         if not 2 <= layer <= self.original_net.num_layers - 1:
@@ -129,33 +123,18 @@ class AbstractionRecord:
         return self.clusterings[layer - 2]
 
     def neuron_map(self, layer: int) -> np.ndarray:
-        """Original neuron index -> abstract neuron index for one layer.
-
-        Input and output layers map to themselves.
-        """
-        L = self.original_net.num_layers
-        if layer == 1 or layer == L:
-            return np.arange(self.original_net.width(layer))
-        return self.clustering_for(layer).neuron_map()
+        """Original neuron index -> abstract neuron index for one layer 1..L."""
+        if not 1 <= layer <= len(self.layers):
+            raise ValidationError(f"layer must be in [1, {len(self.layers)}], got {layer}")
+        return self.layers[layer - 1].neuron_map()
 
     def layer_epsilons(self) -> tuple[np.ndarray, ...]:
-        """Abstract-indexed epsilon per layer 1..L: per cluster, the max over members.
-
-        Zero at the input and output layers, which are never merged.
-        """
-        sizes = self.abstract_net.layer_sizes
-        out = [np.zeros(sizes[0])]
-        out.extend(cl.abstract_epsilons() for cl in self.clusterings)
-        out.append(np.zeros(sizes[-1]))
-        return tuple(out)
+        """Abstract-indexed epsilon per layer 1..L: per cluster, the max over members."""
+        return tuple(cl.abstract_epsilons() for cl in self.layers)
 
     def original_epsilons(self) -> tuple[np.ndarray, ...]:
         """Per-original-neuron epsilon per layer 1..L (zero off the hidden layers)."""
-        sizes = self.original_net.layer_sizes
-        out = [np.zeros(sizes[0])]
-        out.extend(cl.epsilons for cl in self.clusterings)
-        out.append(np.zeros(sizes[-1]))
-        return tuple(out)
+        return tuple(cl.epsilons for cl in self.layers)
 
     def to_json(self) -> str:
         doc = {
@@ -192,12 +171,12 @@ class AbstractionRecord:
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc
         try:
+            if "abstract_network" in doc:
+                raise FormatError(
+                    "the record stores an abstract_network, a layout that is no longer read; "
+                    "re-run `abstract` to write the record again"
+                )
             original_net = Network.from_dict(doc["original_network"])
-            # files written before records stored one network also hold the
-            # abstract one; construction checks it against the merge
-            abstract_net = (
-                Network.from_dict(doc["abstract_network"]) if "abstract_network" in doc else None
-            )
             layers = doc["layers"]
             prov = doc["provenance"]
             clusterings = tuple(
@@ -223,7 +202,6 @@ class AbstractionRecord:
                     raise FormatError(f"provenance k_l {k_l} disagrees with the clusterings")
             return cls(
                 original_net=original_net,
-                abstract_net=abstract_net,
                 clusterings=clusterings,
                 seed=_json_int(prov.get("seed", 0), "seed"),
                 epsilon_norm=epsilon_norm,
@@ -267,9 +245,7 @@ def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> A
             layer, running, lambda k: cluster_layer(act(), k, seed=seeding(), norm=epsilon_norm)
         )
         if clustering is None:
-            width = running.width(layer)
-            singletons = tuple((i,) for i in range(width))
-            clustering = LayerClustering(layer, singletons, tuple(range(width)), np.zeros(width))
+            clustering = LayerClustering.identity(layer, running.width(layer))
         else:
             running = _merge_layer(running, layer, clustering)
         clusterings.append(clustering)
@@ -324,11 +300,6 @@ def reduction_rate(record: AbstractionRecord) -> float:
     return 1.0 - sum(abst) / total
 
 
-def _removed_neurons(record: AbstractionRecord) -> int:
-    """Hidden neurons the abstraction removed, over all layers."""
-    return sum(record.original_net.layer_sizes[1:-1]) - sum(record.abstract_net.layer_sizes[1:-1])
-
-
 def search_abstraction(
     net: Network,
     ds: LabeledDataset,
@@ -352,6 +323,8 @@ def search_abstraction(
     Activations are collected on ``X``, by default the inputs of ``ds``.
     Requires ``alpha`` to be at most the network's validation accuracy.
     """
+    if not np.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
     base_acc = accuracy(net, val)
     if alpha > base_acc:
         raise ValidationError(

@@ -46,21 +46,11 @@ def clustering_error(record: AbstractionRecord) -> ErrorBounds:
     introduced there.
     """
     orig = record.original_net
-    eps = record.original_epsilons()
     original = [np.zeros(orig.layer_sizes[0])]
-    for j, w in enumerate(orig.weights):
-        original.append(np.abs(w) @ original[-1] + eps[j + 1])
-    per_layer = []
-    for i, vec in enumerate(original):
-        layer = i + 1
-        if layer == 1 or layer == orig.num_layers:
-            per_layer.append(vec.copy())
-        else:
-            clusters = record.clustering_for(layer).clusters
-            per_layer.append(
-                np.array([vec[list(members)].max() for members in clusters])
-            )
-    return ErrorBounds(per_layer=tuple(per_layer), original_per_layer=tuple(original))
+    for w, cl in zip(orig.weights, record.layers[1:]):
+        original.append(np.abs(w) @ original[-1] + cl.epsilons)
+    per_layer = tuple(cl.cluster_max(vec) for cl, vec in zip(record.layers, original))
+    return ErrorBounds(per_layer=per_layer, original_per_layer=tuple(original))
 
 
 def total_error(record: AbstractionRecord, delta) -> np.ndarray:

@@ -4,8 +4,8 @@ Every command prints a single JSON report to stdout, except ``verify`` which
 prints one JSON line per query. Logs go to stderr; the level is set by the
 ABSTRACTNET_LOG environment variable (error|warn|info|debug, default warn).
 Exit codes: 0 success, 2 validation or input-format error (including a
-network or record file whose JSON holds malformed values, and a non-finite
-delta), 3 internal error.
+network, record or vector file whose JSON holds malformed values, and a
+non-finite delta or alpha), 3 internal error.
 Identical invocations produce identical reports except for the timing fields
 ("time" and everything under "timings").
 """
@@ -23,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .abstraction import (
-    AbstractionRecord, _removed_neurons, abstract, reduction_rate, search_abstraction,
-)
+from .abstraction import AbstractionRecord, abstract, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, load_csv, load_idx, split_dataset
 from .errors import AbstractnetError, FormatError, TrainingError, ValidationError
 from .lifting import EPSILON_SCOPE_NOTE, abstract_verify_lift, run_report, verify_and_lift
@@ -111,16 +109,20 @@ def _parse_kl(text: str) -> dict[int, int]:
 
 
 def _parse_vector_file(path: str) -> np.ndarray:
-    text = Path(path).read_text().strip()
+    """A flat vector: a JSON list of numbers, or floats separated by whitespace or commas."""
     try:
+        text = Path(path).read_text().strip()
         if text.startswith("["):
-            values = json.loads(text)
+            tokens = json.loads(text)
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in tokens):
+                raise ValueError("a JSON vector must list numbers only")
         else:
-            values = [float(tok) for tok in text.replace(",", " ").split()]
-    except (json.JSONDecodeError, ValueError) as exc:
+            tokens = text.replace(",", " ").split()
+        values = [float(v) for v in tokens]
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"cannot parse vector file {path}: {exc}") from None
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+    arr = np.array(values, dtype=np.float64)
+    if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise FormatError(f"vector file {path} must hold one flat list of finite numbers")
     return arr
 
@@ -253,7 +255,7 @@ def cmd_abstract(args) -> int:
             "command": "abstract",
             "k_l": {str(layer): k for layer, k in sorted(k_l.items())},
             "reduction_rate": reduction_rate(record),
-            "removed_neurons": _removed_neurons(record),
+            "removed_neurons": record.removed_neurons,
             "accuracy_original": acc_orig,
             "accuracy_abstract": acc_abs,
             "accuracy_drop": acc_orig - acc_abs,
@@ -354,7 +356,7 @@ def cmd_lift(args) -> int:
             "abstract_robust": int(run.abstract_robust.sum()),
             "lifted_robust": int(run.lifted_robust.sum()),
             "reduction_rate": reduction_rate(record),
-            "removed_neurons": _removed_neurons(record),
+            "removed_neurons": record.removed_neurons,
             "epsilon_max_per_layer": _epsilon_maxima(record),
             "results": results,
             "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},

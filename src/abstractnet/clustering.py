@@ -9,7 +9,7 @@ activation row lies from the representative's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,30 +29,42 @@ class LayerClustering:
     is a member of cluster c. Clusters are ordered by representative index, which
     is also the neuron order of the merged layer. ``epsilons[i]`` is the distance
     from neuron i's activation row to its representative's row (0 at the
-    representative itself).
+    representative itself). Construction reads the partition once into a
+    read-only neuron -> cluster array, which every per-cluster view uses.
     """
 
     layer: int
     clusters: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
     epsilons: np.ndarray
+    _cluster_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         eps = np.asarray(self.epsilons, dtype=np.float64)
         object.__setattr__(self, "epsilons", eps)
         n = eps.shape[0]
-        seen = sorted(i for c in self.clusters for i in c)
-        if seen != list(range(n)):
+        members = [i for c in self.clusters for i in c]
+        if sorted(members) != list(range(n)):
             raise ValidationError("clusters must partition the layer's neuron indices")
         if len(self.representatives) != len(self.clusters):
             raise ValidationError("one representative per cluster required")
-        for rep, members in zip(self.representatives, self.clusters):
-            if rep not in members:
+        for rep, cluster in zip(self.representatives, self.clusters):
+            if rep not in cluster:
                 raise ValidationError(f"representative {rep} is not a member of its cluster")
         if list(self.representatives) != sorted(self.representatives):
             raise ValidationError("clusters must be ordered by representative index")
         if not np.all(np.isfinite(eps)) or np.any(eps < 0):
             raise ValidationError("epsilons must be finite and non-negative")
+        cluster_of = np.empty(n, dtype=np.int64)
+        sizes = [len(c) for c in self.clusters]
+        cluster_of[members] = np.repeat(np.arange(self.num_clusters), sizes)
+        cluster_of.setflags(write=False)
+        object.__setattr__(self, "_cluster_of", cluster_of)
+
+    @classmethod
+    def identity(cls, layer: int, width: int) -> "LayerClustering":
+        """The clustering that keeps every neuron of a layer: singletons, epsilon 0."""
+        return cls(layer, tuple((i,) for i in range(width)), tuple(range(width)), np.zeros(width))
 
     @property
     def num_neurons(self) -> int:
@@ -64,21 +76,26 @@ class LayerClustering:
 
     def neuron_map(self) -> np.ndarray:
         """Original neuron index -> index of its cluster in the merged layer."""
-        out = np.empty(self.num_neurons, dtype=np.int64)
-        for c, members in enumerate(self.clusters):
-            for m in members:
-                out[m] = c
+        return self._cluster_of.copy()
+
+    def rep_of(self) -> np.ndarray:
+        """Original neuron index -> index of its cluster's representative."""
+        return np.asarray(self.representatives, dtype=np.int64)[self._cluster_of]
+
+    def cluster_max(self, values: np.ndarray) -> np.ndarray:
+        """Per cluster, the max of the per-neuron ``values`` over its members."""
+        out = np.full(self.num_clusters, -np.inf)
+        np.maximum.at(out, self._cluster_of, values)
         return out
 
     def abstract_epsilons(self) -> np.ndarray:
         """Per-cluster worst-case epsilon: max over the cluster's members."""
-        return np.array(
-            [self.epsilons[list(members)].max() for members in self.clusters],
-            dtype=np.float64,
-        )
+        return self.cluster_max(self.epsilons)
 
     def sum_columns(self, m: np.ndarray) -> np.ndarray:
         """Per cluster, the sum of ``m``'s columns over its members (merged outgoing weights)."""
+        if self.num_clusters == self.num_neurons:
+            return m.copy()  # singletons: a one-member sum is the column itself
         return np.stack([m[:, list(members)].sum(axis=1) for members in self.clusters], axis=1)
 
 
@@ -175,8 +192,10 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
     one Gram matrix of the points, in which exact duplicate rows keep distance
     exactly 0. Rows are assigned by ``|p|^2 - 2 p.c + |c|^2`` against the
     member means of the previous step. Stops when assignments no longer
-    change or after ``KMEANS_MAX_ITER`` iterations. Empty clusters are
-    repaired by stealing the point currently farthest from its own centroid.
+    change or after ``KMEANS_MAX_ITER`` iterations; once they alternate
+    between two, it stops at once with the one the last iteration would
+    keep. Empty clusters are repaired by stealing the point currently
+    farthest from its own centroid.
     Duplicate rows are fine: with more clusters than distinct rows, some
     clusters end up sharing a value.
     """
@@ -195,9 +214,9 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
     else:
         centroids = KMeansSeeding(points, seed).centres(k)
     sq = np.sum(points * points, axis=1)[:, None]
-    assign = np.full(n, -1, dtype=np.int64)
+    assign = prev = np.full(n, -1, dtype=np.int64)  # committed by the last step and the one before
     prev_obj = np.inf
-    for _ in range(KMEANS_MAX_ITER):
+    for step in range(KMEANS_MAX_ITER):
         d2 = sq - 2.0 * points @ centroids.T + np.sum(centroids * centroids, axis=1)[None, :]
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=k)
@@ -215,12 +234,19 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
                 centroids[c] = points[thief]
         if np.array_equal(new_assign, assign):
             break
-        assign = new_assign
+        cycled = np.array_equal(new_assign, prev)
+        prev, assign = assign, new_assign
         centroids = _cluster_means(points, assign, k)
         obj = _wcss(points, centroids, assign)
         if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
             raise AbstractnetError(f"k-means objective rose from {prev_obj} to {obj}")
         prev_obj = obj
+        if cycled:
+            # each step's assignment follows from the last one alone, so the
+            # two now alternate up to the cap; return the one the cap ends on
+            if (KMEANS_MAX_ITER - 1 - step) % 2:
+                assign = prev
+            break
     return [rows.tolist() for rows in _members(assign, k)]
 
 

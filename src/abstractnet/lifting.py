@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractionRecord, _removed_neurons, reduction_rate, search_abstraction
+from .abstraction import AbstractionRecord, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, split_dataset
 from .errors import ValidationError
 from .network import Network, RobustnessQuery
@@ -85,27 +85,23 @@ def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
     if op is not None:
         return op
     orig = record.original_net
-    clusterings = (None, *record.clusterings, None)  # per layer 1..L
+    layers = record.layers
     steps = []
     for w, b, b_abs, src, dst in zip(
-        orig.weights, orig.biases, record.abstract_net.biases, clusterings, clusterings[1:]
+        orig.weights, orig.biases, record.abstract_net.biases, layers, layers[1:]
     ):
-        wp, wn = np.maximum(w, 0.0), np.minimum(w, 0.0)
-        if src is not None:
-            wp, wn = src.sum_columns(wp), src.sum_columns(wn)
-        if dst is None:
-            steps.append(_IntervalStep(wp, wn, b_abs))
-            continue
-        cluster_of = dst.neuron_map()
-        rep_of = np.asarray(dst.representatives, dtype=np.int64)[cluster_of]
+        wp, wn = src.sum_columns(np.maximum(w, 0.0)), src.sum_columns(np.minimum(w, 0.0))
+        rep_of = dst.rep_of()
         others = np.flatnonzero(rep_of != np.arange(dst.num_neurons))
         members = {}
         if others.size:
             d = w[others, :] - w[rep_of[others], :]
-            dp, dn = np.maximum(d, 0.0), np.minimum(d, 0.0)
-            if src is not None:
-                dp, dn = src.sum_columns(dp), src.sum_columns(dn)
-            members = dict(dp=dp, dn=dn, db=b[others] - b[rep_of[others]], owner=cluster_of[others])
+            members = dict(
+                dp=src.sum_columns(np.maximum(d, 0.0)),
+                dn=src.sum_columns(np.minimum(d, 0.0)),
+                db=b[others] - b[rep_of[others]],
+                owner=dst.neuron_map()[others],
+            )
         reps = list(dst.representatives)
         steps.append(_IntervalStep(wp[reps, :], wn[reps, :], b_abs, **members))
     epsilons = record.layer_epsilons()
@@ -296,7 +292,7 @@ def run_report(run: PipelineRun, command: str | None = None, delta=None) -> dict
     report = {
         "schema": 1,
         "command": command,
-        "removed_neurons": _removed_neurons(record),
+        "removed_neurons": record.removed_neurons,
         "reduction_rate": reduction_rate(record),
         "images_verified": int(run.lifted_robust.sum()),
         "time": run.total_s,

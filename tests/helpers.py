@@ -1,8 +1,6 @@
 """Shared builders for the hand-checked toy networks used across tests, and
 reference implementations that tests compare the package against."""
 
-import json
-
 import numpy as np
 
 from abstractnet import Network
@@ -36,22 +34,7 @@ def toy_record(e: float = 0.0) -> AbstractionRecord:
     c2 = LayerClustering(2, ((0,), (1,)), (0, 1), (0.0, 0.0))
     c3 = LayerClustering(3, ((0, 1),), (0,), (0.0, float(e)))
     X = np.array([[1.0, 1.0], [0.5, -0.5]])
-    return AbstractionRecord(
-        original,
-        (c2, c3),
-        0,
-        "l2",
-        _fingerprint(X),
-        X.shape[0],
-        abstract_net=toy_abstract_network(),
-    )
-
-
-def singletons(layer: int, width: int) -> LayerClustering:
-    """The clustering that keeps every neuron of a layer."""
-    return LayerClustering(
-        layer, tuple((i,) for i in range(width)), tuple(range(width)), np.zeros(width)
-    )
+    return AbstractionRecord(original, (c2, c3), 0, "l2", _fingerprint(X), X.shape[0])
 
 
 def merge_one_cluster(net: Network, layer: int, members) -> Network:
@@ -62,18 +45,10 @@ def merge_one_cluster(net: Network, layer: int, members) -> Network:
     clusters = sorted([members, *((i,) for i in range(width) if i not in members)])
     merged = LayerClustering(layer, tuple(clusters), tuple(c[0] for c in clusters), np.zeros(width))
     clusterings = tuple(
-        merged if h == layer else singletons(h, net.width(h)) for h in net.hidden_layers
+        merged if h == layer else LayerClustering.identity(h, net.width(h))
+        for h in net.hidden_layers
     )
     return AbstractionRecord(net, clusterings).abstract_net
-
-
-def legacy_record_json(record: AbstractionRecord) -> str:
-    """The bytes a record was saved as while record files also stored the
-    abstract network, right after the schema."""
-    doc = json.loads(record.to_json())
-    return json.dumps(
-        {"schema": doc.pop("schema"), "abstract_network": record.abstract_net.to_dict(), **doc}
-    )
 
 
 def random_network(rng, sizes=None) -> Network:

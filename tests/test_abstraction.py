@@ -22,10 +22,8 @@ from abstractnet import (
 )
 import abstractnet.abstraction
 from helpers import (
-    legacy_record_json,
     merge_one_cluster,
     random_network,
-    singletons,
     toy_abstract_network,
     toy_original_network,
     toy_record,
@@ -84,7 +82,7 @@ def test_merge_planted_duplicates_preserves_outputs():
 
 def test_merge_validation():
     net = toy_original_network()
-    keep2, keep3 = singletons(2, 2), singletons(3, 2)
+    keep2, keep3 = LayerClustering.identity(2, 2), LayerClustering.identity(3, 2)
     pair = ((0, 1),)
     with pytest.raises(ValidationError):  # input layer
         AbstractionRecord(net, (LayerClustering(1, pair, (0,), np.zeros(2)), keep3))
@@ -105,10 +103,23 @@ def test_merge_validation():
 
 def test_singleton_merge_is_identity():
     net = toy_original_network()
-    same = AbstractionRecord(net, (singletons(2, 2), singletons(3, 2))).abstract_net
-    layer_pass = abstractnet.abstraction._merge_layer(net, 2, singletons(2, 2))
+    keep2, keep3 = LayerClustering.identity(2, 2), LayerClustering.identity(3, 2)
+    same = AbstractionRecord(net, (keep2, keep3)).abstract_net
+    layer_pass = abstractnet.abstraction._merge_layer(net, 2, keep2)
     for merged in (same, layer_pass):
         for got, want in zip(merged.weights + merged.biases, net.weights + net.biases):
+            assert np.array_equal(got, want)
+
+
+def test_toy_record_abstract_net_is_the_hand_built_merge():
+    # the record derives its abstract net; for the toy record it is the
+    # hand-built 2-2-1-2 net bit for bit, whatever the recorded radius
+    target = toy_abstract_network()
+    for e in (0.0, 0.25):
+        net = toy_record(e).abstract_net
+        assert net.layer_sizes == target.layer_sizes
+        assert net.output_activation == target.output_activation
+        for got, want in zip(net.weights + net.biases, target.weights + target.biases):
             assert np.array_equal(got, want)
 
 
@@ -231,15 +242,15 @@ def test_record_json_bytes_are_pinned():
         '"num_inputs": 2}}'
     )
     assert record.to_json() == '{"schema": 1, ' + original_net
-    # the layout written while records also stored the abstract network
-    legacy = legacy_record_json(record)
-    assert legacy == (
+    # the layout that also stored the abstract network is rejected, not read
+    legacy = (
         '{"schema": 1, "abstract_network": {"layer_sizes": [2, 2, 1, 2], "layers": '
         '[{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, '
         '1.0]], "bias": [0.0]}, {"weights": [[2.0], [1.0]], "bias": [5.0, 0.0]}], '
         '"output_activation": "identity"}, ' + original_net
     )
-    assert AbstractionRecord.from_json(legacy).to_json() == record.to_json()
+    with pytest.raises(FormatError, match="abstract_network"):
+        AbstractionRecord.from_json(legacy)
     assert json.loads(record.to_json())["original_network"] == record.original_net.to_dict()
     net = record.abstract_net
     assert Network.from_dict(net.to_dict()).to_json() == net.to_json()
@@ -305,6 +316,13 @@ def test_record_accessors():
     assert orig_eps[2].tolist() == [0.0, e]
     with pytest.raises(ValidationError):
         record.clustering_for(1)
+    with pytest.raises(ValidationError):
+        record.neuron_map(5)
+    first, c2, c3, last = record.layers
+    assert (c2, c3) == record.clusterings
+    for cl, layer in ((first, 1), (last, 4)):
+        assert cl.layer == layer and cl.clusters == ((0,), (1,)) and cl.representatives == (0, 1)
+    assert record.removed_neurons == 1
 
 
 def test_record_validation_rejects_mismatch():
@@ -312,7 +330,6 @@ def test_record_validation_rejects_mismatch():
     with pytest.raises(ValidationError):
         AbstractionRecord(
             original_net=record.original_net,
-            abstract_net=record.abstract_net,
             clusterings=record.clusterings[:1],  # one clustering missing
         )
 
@@ -346,6 +363,15 @@ def test_identify_clusters_alpha_above_accuracy_rejected():
     net, ds = separable_pairs_dataset()
     with pytest.raises(ValidationError):
         identify_clusters(net, ds, alpha=1.01, val=ds)
+
+
+def test_search_rejects_non_finite_alpha():
+    # NaN fails every accuracy comparison, so it would merge nothing; -inf
+    # would admit a single cluster on every layer
+    net, ds = separable_pairs_dataset()
+    for alpha in (np.nan, -np.inf, np.inf):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            search_abstraction(net, ds, alpha, val=ds)
 
 
 def test_identify_clusters_strict_guard_keeps_width():
@@ -405,19 +431,18 @@ def test_search_record_bytes_are_pinned():
     # its seeding or the search that moves any byte fails here, even when
     # abstract() moves with it
     net, ds, val = integer_search_case()
-    digest, legacy_digest = hashlib.sha256(), hashlib.sha256()
+    digest, merged_digest = hashlib.sha256(), hashlib.sha256()
     for norm in ("l2", "linf"):
         record = search_abstraction(net, ds, 0.9, seed=3, epsilon_norm=norm, val=val)
         assert record.k_l == {2: 7, 3: 6}
         digest.update(record.to_json().encode())
-        legacy_digest.update(legacy_record_json(record).encode())
+        merged_digest.update(record.abstract_net.to_json().encode())
     assert digest.hexdigest() == (
         "a574d0ffec1c7369d28f40f70199147ba8add0c260a498ec16887f1c0ff3a81b"
     )
-    # the same records in the layout written while they also stored the
-    # abstract network
-    assert legacy_digest.hexdigest() == (
-        "6e022eddfad37734a5d99e028dac8276097af822ad8f182a543b218a5c9516e7"
+    # the merged networks those records derive, which no record file stores
+    assert merged_digest.hexdigest() == (
+        "8f21cf8c3350435dedd9352bb0741b82ed97f80d657bcff74161c6139f9131ea"
     )
 
 

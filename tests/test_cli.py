@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from abstractnet import (
-    AbstractionRecord, Network, RobustnessQuery, ValidationError, make_synthetic_digits,
-    pipeline,
+    AbstractionRecord, FormatError, Network, RobustnessQuery, ValidationError,
+    make_synthetic_digits, pipeline,
 )
 from abstractnet.cli import main
-from helpers import legacy_record_json, strip_timings
+from helpers import strip_timings
 
 
 def run_cli(argv):
@@ -203,19 +203,23 @@ def test_lift_abstract_verdicts_match_verify_record(workdir, tmp_path):
 
 
 def test_tampered_record_rejected(workdir, tmp_path):
+    # a file in the layout that also stored the abstract network is rejected,
+    # whether that network still equals the merge of the original or not
     d, _, _ = workdir
-    # a file in the layout that also stores the abstract network, whose
-    # abstract net no longer equals the merge of the original
-    doc = json.loads(legacy_record_json(AbstractionRecord.load(d / "record.json")))
-    doc["abstract_network"]["layers"][0]["bias"][0] += 0.25
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
-        AbstractionRecord.load(tampered)
-    rc, _, _ = run_cli(
-        ["lift", "--record", str(tampered), *SYNTH, "--delta", "0", "--count", "2"]
-    )
-    assert rc == 2
+    record = AbstractionRecord.load(d / "record.json")
+    for shift in (0.0, 0.25):
+        doc = json.loads(record.to_json())
+        doc["abstract_network"] = record.abstract_net.to_dict()
+        doc["abstract_network"]["layers"][0]["bias"][0] += shift
+        legacy = tmp_path / f"legacy-{shift}.json"
+        legacy.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="abstract_network"):
+            AbstractionRecord.load(legacy)
+        rc, out, err = run_cli(
+            ["lift", "--record", str(legacy), *SYNTH, "--delta", "0", "--count", "2"]
+        )
+        assert (rc, out) == (2, "")
+        assert "abstract_network" in err
 
 
 @pytest.mark.parametrize(
@@ -339,6 +343,42 @@ def test_non_finite_delta_is_invalid_input(workdir):
                      ["bench", "--net", str(d / "net.json"), "--alpha", "0.1"]):
             rc, out, _ = run_cli([*argv, *SYNTH, "--count", "2", "--delta", delta])
             assert (rc, out) == (2, "")
+
+
+def test_malformed_vector_files_exit_2(workdir, tmp_path):
+    # a vector file holds JSON numbers or plain floats; nested lists, strings
+    # and bools are input-format errors, neither internal errors nor numbers
+    d, _, _ = workdir
+    net = str(d / "net.json")
+    texts = (
+        "[1, [2]]",
+        '["a"]',
+        "[true" + ", 0.0" * 63 + "]",
+        "[" + ", ".join(['"0.001"'] * 64) + "]",
+        "0.001 " * 63 + "x",
+    )
+    for i, text in enumerate(texts):
+        vec = tmp_path / f"vec{i}.json"
+        vec.write_text(text)
+        for argv in (["--input", str(vec), "--delta", "0"],
+                     [*SYNTH, "--count", "2", "--delta", str(vec)]):
+            rc, out, err = run_cli(["verify", "--net", net, *argv])
+            assert (rc, out) == (2, "")
+            assert "internal error" not in err
+
+
+def test_non_finite_alpha_is_invalid_input(workdir):
+    d, _, _ = workdir
+    net = str(d / "net.json")
+    for alpha in ("nan", "-inf"):
+        for argv in (["abstract", "--net", net], ["bench", "--net", net, "--count", "2"]):
+            rc, out, err = run_cli([*argv, *SYNTH, f"--alpha={alpha}"])
+            assert (rc, out) == (2, "")
+            assert "alpha must be finite" in err
+    ds = make_synthetic_digits(150, seed=0, noise=0.15)
+    queries = [RobustnessQuery(x, 0.0) for x in ds.inputs[:2]]
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        pipeline(Network.load(net), ds, float("nan"), queries)
 
 
 def test_each_redirected_stderr_gets_the_error(tmp_path):

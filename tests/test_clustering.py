@@ -185,6 +185,36 @@ def test_kmeans_and_cluster_layer_match_reference():
             assert np.array_equal(lc.epsilons, eps)
 
 
+def duplicate_rows(seed, distinct, copies, d):
+    """``distinct`` ReLU-like rows of d columns plus ``copies`` duplicates of
+    some of them, shuffled."""
+    rng = np.random.default_rng(seed)
+    base = np.maximum(rng.normal(size=(distinct, d)) + rng.normal(size=(distinct, 1)), 0.0)
+    points = np.concatenate([base, base[rng.choice(distinct, copies)]])
+    return points[rng.permutation(distinct + copies)]
+
+
+@pytest.mark.parametrize("seed, distinct, copies, d", [(9, 13, 4, 27), (9, 12, 5, 20)])
+def test_kmeans_stops_on_a_two_step_cycle(monkeypatch, seed, distinct, copies, d):
+    # at k one past the distinct rows, a duplicate centre leaves a cluster
+    # empty, the repair steals a duplicate and the next assignment gives it
+    # back: Lloyd's loop alternates between two assignments up to its cap.
+    # It stops once they repeat (after 3 and 4 mean updates here, one case of
+    # each parity) and returns the clusters the capped loop returns.
+    points = duplicate_rows(seed, distinct, copies, d)
+    steps = []
+    real = abstractnet.clustering._cluster_means
+    monkeypatch.setattr(
+        abstractnet.clustering,
+        "_cluster_means",
+        lambda *args: steps.append(1) or real(*args),
+    )
+    clusters = kmeans(points, distinct + 1, seed=seed)
+    assert len(steps) <= 4
+    monkeypatch.undo()
+    assert clusters == reference_kmeans(points, distinct + 1, seed)
+
+
 def test_cluster_means_equal_per_cluster_means():
     # the sorted, split centroid update gives each cluster the bits of the
     # masked mean, for one column as for many

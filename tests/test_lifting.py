@@ -221,9 +221,15 @@ def test_lifted_relu_output_clamps():
     c2, c3 = record.clusterings
     relu_record = type(record)(
         original_net=relu_original,
-        abstract_net=relu_abstract,
         clusterings=(c2, replace(c3, epsilons=np.array([0.0, 1.0]))),
     )
+    derived = relu_record.abstract_net
+    assert derived.output_activation == "relu"
+    assert derived.layer_sizes == relu_abstract.layer_sizes
+    for got, want in zip(
+        derived.weights + derived.biases, relu_abstract.weights + relu_abstract.biases
+    ):
+        assert np.array_equal(got, want)
     assert [e.tolist() for e in relu_record.layer_epsilons()] == [
         [0.0, 0.0], [0.0, 0.0], [1.0], [0.0, 0.0]
     ]
