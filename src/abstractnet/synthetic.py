@@ -132,20 +132,30 @@ def _shift(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
+# SHIFTED[label, dy + 1, dx + 1] is glyph ``label`` shifted by (dy, dx), flattened
+SHIFTED = np.array(
+    [
+        [[_shift(glyph, dy, dx).reshape(64) for dx in (-1, 0, 1)] for dy in (-1, 0, 1)]
+        for glyph in TEMPLATES
+    ]
+)
+
+
 def make_synthetic_digits(n: int, seed: int = 0, noise: float = 0.15) -> LabeledDataset:
     """Generate n noisy 8x8 digit images, flattened to 64 features in [0, 1]."""
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}")
-    if noise < 0:
-        raise ValidationError(f"noise must be non-negative, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise ValidationError(f"noise must be finite and non-negative, got {noise}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=n)
     shifts = rng.integers(-1, 2, size=(n, 2))
     scales = rng.uniform(0.7, 1.0, size=n)
     jitter = rng.normal(0.0, noise, size=(n, 8, 8))
-    images = np.empty((n, 64), dtype=np.float64)
-    for i in range(n):
-        img = _shift(TEMPLATES[labels[i]], int(shifts[i, 0]), int(shifts[i, 1]))
-        img = np.clip(img * scales[i] + jitter[i], 0.0, 1.0)
-        images[i] = img.reshape(64)
+    images = SHIFTED[labels, shifts[:, 0] + 1, shifts[:, 1] + 1]
+    images *= scales[:, None]
+    images += jitter.reshape(n, 64)
+    np.clip(images, 0.0, 1.0, out=images)
     return LabeledDataset(images, labels)

@@ -4,10 +4,18 @@ Softmax cross-entropy on raw logits, mini-batch SGD or Adam, He-uniform
 initialization, early stopping on validation loss. Everything is driven by one
 integer seed: initialization, the train/validation split, and batch shuffling,
 so identical configurations reproduce identical networks byte for byte.
+
+Every weight and bias is a view into one flat parameter buffer, and the
+gradients are written into views of a second buffer of the same layout. So one
+step's update, Adam moments and finite check each run once over the flat
+arrays. The arithmetic is elementwise, so each parameter ends bit-identical to
+an update run array by array.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,12 @@ OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-7
+
+log = logging.getLogger(__name__)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -34,18 +48,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if any(h < 1 for h in self.hidden):
-            raise ValidationError(f"hidden widths must be positive, got {self.hidden}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not all(_is_int(h) and h >= 1 for h in self.hidden):
+            raise ValidationError(f"hidden widths must be positive integers, got {self.hidden}")
+        if not (_is_int(self.epochs) and self.epochs >= 0):
+            raise ValidationError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        if not (_is_int(self.batch_size) and self.batch_size >= 1):
+            raise ValidationError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValidationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.patience < 1:
-            raise ValidationError(f"patience must be >= 1, got {self.patience}")
+        if not (_is_int(self.patience) and self.patience >= 1):
+            raise ValidationError(f"patience must be an integer >= 1, got {self.patience!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValidationError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
@@ -70,45 +88,67 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    logp = _log_softmax(logits)
+def _mean_nll(logp: np.ndarray, labels: np.ndarray) -> float:
     return float(-logp[np.arange(labels.shape[0]), labels].mean())
 
 
-def _loss_and_grads_raw(ws, bs, x, y):
+def _flat_views(layer_sizes):
+    """A zeroed flat float64 buffer and the (weights, biases) views into it.
+
+    The weights come first, then the biases, each layer in order; every view
+    is C-contiguous in the shape of its parameter.
+    """
+    shapes = [(o, i) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
+    shapes += [(o,) for o in layer_sizes[1:]]
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes))
+    views = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    depth = len(layer_sizes) - 1
+    return flat, views[:depth], views[depth:]
+
+
+def _loss_and_grads_raw(ws, bs, x, y, dws, dbs) -> float:
+    """Mean cross-entropy of one batch; its gradients are written into dws, dbs."""
     pres, acts = _forward_layers(ws, bs, x)
-    logits = pres[-1]
-    loss = _ce_loss(logits, y)
+    logp = _log_softmax(pres[-1])
+    loss = _mean_nll(logp, y)
     batch = x.shape[0]
-    g = np.exp(_log_softmax(logits))
+    g = np.exp(logp)
     g[np.arange(batch), y] -= 1.0
     g /= batch
-    dws = [None] * len(ws)
-    dbs = [None] * len(ws)
     for j in reversed(range(len(ws))):
-        dws[j] = g.T @ acts[j]
-        dbs[j] = g.sum(axis=0)
+        np.matmul(g.T, acts[j], out=dws[j])
+        np.sum(g, axis=0, out=dbs[j])
         if j > 0:
             g = (g @ ws[j]) * (pres[j] > 0)
-    return loss, dws, dbs
+    return loss
 
 
 def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over a batch and its gradients per weight and bias.
 
-    The network must expose raw logits (identity output). Returns
-    (loss, weight_grads, bias_grads) with grads shaped like the parameters.
+    The network must expose raw logits (identity output). The batch is checked
+    as a LabeledDataset is (finite inputs, integer labels), against the net's
+    input width and class count. Returns (loss, weight_grads, bias_grads) with
+    grads shaped like the parameters, in arrays of their own.
     """
     if net.output_activation != "identity":
         raise ValidationError("loss_and_grads requires an identity-output (logits) network")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if y.shape[0] != x.shape[0]:
-        raise ValidationError(f"{x.shape[0]} inputs but {y.shape[0]} labels")
+    batch = LabeledDataset(np.atleast_2d(x), np.atleast_1d(y))
+    if batch.num_features != net.layer_sizes[0]:
+        raise ValidationError(
+            f"inputs must have {net.layer_sizes[0]} features, got {batch.num_features}"
+        )
     n_classes = net.layer_sizes[-1]
-    if np.any(y < 0) or np.any(y >= n_classes):
+    if batch.num_classes > n_classes:
         raise ValidationError(f"labels must be in [0, {n_classes})")
-    return _loss_and_grads_raw(list(net.weights), list(net.biases), x, y)
+    _, dws, dbs = _flat_views(net.layer_sizes)
+    loss = _loss_and_grads_raw(net.weights, net.biases, batch.inputs, batch.labels, dws, dbs)
+    return loss, dws, dbs
 
 
 def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
@@ -125,14 +165,15 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
     net0 = init_network(sizes, seed=cfg.seed)
     if cfg.epochs == 0:
         return net0
-    ws = [w.copy() for w in net0.weights]
-    bs = [b.copy() for b in net0.biases]
-    params = ws + bs  # the same arrays, updated in place
+    params, ws, bs = _flat_views(sizes)
+    for view, value in zip(ws + bs, net0.weights + net0.biases):
+        view[...] = value
+    grads, dws, dbs = _flat_views(sizes)
     train_part, val_part = split_dataset(ds, cfg.val_fraction, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     if cfg.optimizer == "adam":
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
         t = 0
     best_val = np.inf
     stale = 0
@@ -140,25 +181,25 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
         order = rng.permutation(len(train_part))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, dws, dbs = _loss_and_grads_raw(ws, bs, train_part.inputs[idx], train_part.labels[idx])
+            loss = _loss_and_grads_raw(
+                ws, bs, train_part.inputs[idx], train_part.labels[idx], dws, dbs
+            )
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)
-            grads = dws + dbs
             if cfg.optimizer == "sgd":
-                for p, g in zip(params, grads):
-                    p -= cfg.learning_rate * g
+                params -= cfg.learning_rate * grads
             else:
                 t += 1
                 bc1 = 1.0 - ADAM_BETA1**t
                 bc2 = 1.0 - ADAM_BETA2**t
-                for i, (p, g) in enumerate(zip(params, grads)):
-                    m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
-                    v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
-                    p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + ADAM_EPSILON)
-            if any(not np.all(np.isfinite(p)) for p in params):
+                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
+                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grads**2
+                params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+            if not np.all(np.isfinite(params)):
                 raise TrainingError(f"parameters diverged at epoch {epoch}", epoch=epoch)
         val_logits = _forward_layers(ws, bs, val_part.inputs)[0][-1]
-        val_loss = _ce_loss(val_logits, val_part.labels)
+        val_loss = _mean_nll(_log_softmax(val_logits), val_part.labels)
+        log.debug("epoch %d: validation loss %.6g", epoch, val_loss)
         if not np.isfinite(val_loss):
             raise TrainingError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
         if val_loss < best_val:
@@ -167,5 +208,9 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
         else:
             stale += 1
             if stale >= cfg.patience:
+                log.info(
+                    "early stop after epoch %d of %d (best validation loss %.6g, patience %d)",
+                    epoch, cfg.epochs, best_val, cfg.patience,
+                )
                 break
     return Network(tuple(ws), tuple(bs), output_activation="identity")

@@ -3,9 +3,12 @@ reference implementations that tests compare the package against."""
 
 import numpy as np
 
-from abstractnet import Network
+from abstractnet import LabeledDataset, Network, TrainingError, init_network, split_dataset
 from abstractnet.abstraction import AbstractionRecord, _fingerprint
 from abstractnet.clustering import KMEANS_MAX_ITER, LayerClustering, epsilon_vector
+from abstractnet.network import _forward_layers
+from abstractnet.synthetic import TEMPLATES, _shift
+from abstractnet.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
 def toy_abstract_network() -> Network:
@@ -147,3 +150,106 @@ def reference_cluster_layer(points, raw_clusters, norm="l2"):
     reps = tuple(rep for rep, _ in paired)
     clusters = tuple(members for _, members in paired)
     return clusters, reps, epsilon_vector(points, clusters, reps, norm=norm)
+
+
+# Reference trainer and digit generator written the plain way: one update per
+# parameter array, freshly allocated gradients, one image at a time. The
+# package's flat-buffer trainer and table-lookup generator must match them bit
+# for bit.
+
+
+def _reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_ce_loss(logits, labels):
+    logp = _reference_log_softmax(logits)
+    return float(-logp[np.arange(labels.shape[0]), labels].mean())
+
+
+def _reference_loss_and_grads(ws, bs, x, y):
+    pres, acts = _forward_layers(ws, bs, x)
+    logits = pres[-1]
+    loss = _reference_ce_loss(logits, y)
+    batch = x.shape[0]
+    g = np.exp(_reference_log_softmax(logits))
+    g[np.arange(batch), y] -= 1.0
+    g /= batch
+    dws = [None] * len(ws)
+    dbs = [None] * len(ws)
+    for j in reversed(range(len(ws))):
+        dws[j] = g.T @ acts[j]
+        dbs[j] = g.sum(axis=0)
+        if j > 0:
+            g = (g @ ws[j]) * (pres[j] > 0)
+    return loss, dws, dbs
+
+
+def reference_train(ds, cfg):
+    """(network, epochs run) from the per-array training loop."""
+    sizes = [ds.num_features, *cfg.hidden, ds.num_classes]
+    net0 = init_network(sizes, seed=cfg.seed)
+    if cfg.epochs == 0:
+        return net0, 0
+    ws = [w.copy() for w in net0.weights]
+    bs = [b.copy() for b in net0.biases]
+    params = ws + bs
+    train_part, val_part = split_dataset(ds, cfg.val_fraction, cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    best_val = np.inf
+    stale = 0
+    epochs_run = 0
+    for epoch in range(cfg.epochs):
+        epochs_run = epoch + 1
+        order = rng.permutation(len(train_part))
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, dws, dbs = _reference_loss_and_grads(
+                ws, bs, train_part.inputs[idx], train_part.labels[idx]
+            )
+            if not np.isfinite(loss):
+                raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)
+            grads = dws + dbs
+            if cfg.optimizer == "sgd":
+                for p, g in zip(params, grads):
+                    p -= cfg.learning_rate * g
+            else:
+                t += 1
+                bc1 = 1.0 - ADAM_BETA1**t
+                bc2 = 1.0 - ADAM_BETA2**t
+                for i, (p, g) in enumerate(zip(params, grads)):
+                    m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+                    v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+                    p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + ADAM_EPSILON)
+            if any(not np.all(np.isfinite(p)) for p in params):
+                raise TrainingError(f"parameters diverged at epoch {epoch}", epoch=epoch)
+        val_loss = _reference_ce_loss(_forward_layers(ws, bs, val_part.inputs)[0][-1], val_part.labels)
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
+        if val_loss < best_val:
+            best_val = val_loss
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return Network(tuple(ws), tuple(bs), output_activation="identity"), epochs_run
+
+
+def reference_synthetic_digits(n, seed=0, noise=0.15):
+    """Synthetic digits drawn as make_synthetic_digits draws them, shifted one image at a time."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, size=n)
+    shifts = rng.integers(-1, 2, size=(n, 2))
+    scales = rng.uniform(0.7, 1.0, size=n)
+    jitter = rng.normal(0.0, noise, size=(n, 8, 8))
+    images = np.empty((n, 64), dtype=np.float64)
+    for i in range(n):
+        img = _shift(TEMPLATES[labels[i]], int(shifts[i, 0]), int(shifts[i, 1]))
+        img = np.clip(img * scales[i] + jitter[i], 0.0, 1.0)
+        images[i] = img.reshape(64)
+    return LabeledDataset(images, labels)

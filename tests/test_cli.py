@@ -399,6 +399,45 @@ def test_training_divergence_exit_code():
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--learning-rate", "nan"),
+    ("--learning-rate", "inf"),
+    ("--seed", "-1"),
+    ("--data-seed", "-1"),
+    ("--noise", "inf"),
+])
+def test_invalid_training_inputs_exit_2(flag, value):
+    argv = ["train", "--format", "synthetic", "--synthetic-count", "60", "--arch", "4",
+            "--epochs", "1"]
+    rc, out, err = run_cli([*argv, f"{flag}={value}"])
+    assert (rc, out) == (2, "")
+    assert "internal error" not in err and "training failed" not in err
+
+
+def test_negative_seed_exits_2(workdir):
+    d, _, _ = workdir
+    net = str(d / "net.json")
+    for argv in (["abstract", "--net", net, "--alpha", "0.05"],
+                 ["verify", "--net", net, "--count", "2", "--delta", "0.01", "--falsify"],
+                 ["bench", "--net", net, "--alpha", "0.05", "--count", "2"]):
+        rc, out, err = run_cli([*argv, *SYNTH, "--seed=-1"])
+        assert (rc, out) == (2, "")
+        assert "--seed must be >= 0" in err
+
+
+def test_debug_log_leaves_train_stdout_unchanged(monkeypatch):
+    argv = ["train", *SYNTH, "--arch", "6", "--epochs", "60", "--patience", "1",
+            "--learning-rate", "0.03"]
+    rc, quiet, err = run_cli(argv)
+    assert rc == 0 and err == ""
+    monkeypatch.setenv("ABSTRACTNET_LOG", "debug")
+    rc, loud, err = run_cli(argv)
+    assert rc == 0
+    assert strip_timings(json.loads(loud)) == strip_timings(json.loads(quiet))
+    assert "DEBUG abstractnet.trainer: epoch 0: validation loss" in err
+    assert "INFO abstractnet.trainer: early stop after epoch" in err
+
+
 def test_argparse_failures_raise_system_exit(workdir):
     d, _, _ = workdir
     with pytest.raises(SystemExit):
