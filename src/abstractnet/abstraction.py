@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import EPSILON_NORMS, KMeansSeeding, LayerClustering, cluster_layer
 from .data import LabeledDataset, accuracy, collect_activations
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_int
 from .network import Network
 
 
@@ -53,9 +53,9 @@ def _fingerprint(X: np.ndarray) -> str:
 
 
 def _json_int(value, what: str = "index") -> int:
-    """An integer read from a record; only JSON integers qualify, not bools or floats."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"expected an integer {what}, got {value!r}")
+    """An integer >= 0 read from a record; only JSON integers qualify, not bools or floats."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"expected an integer {what} >= 0, got {value!r}")
     return value
 
 
@@ -188,14 +188,14 @@ class AbstractionRecord:
                 )
                 for entry in layers
             )
-            num_inputs = _json_int(prov.get("num_inputs", 0), "num_inputs")
-            if num_inputs < 0:
-                raise FormatError(f"num_inputs must be >= 0, got {num_inputs}")
             epsilon_norm = prov.get("epsilon_norm", "l2")
             if epsilon_norm not in EPSILON_NORMS:
                 raise FormatError(
                     f"epsilon_norm must be one of {EPSILON_NORMS}, got {epsilon_norm!r}"
                 )
+            fingerprint = prov.get("input_fingerprint", "")
+            if not isinstance(fingerprint, str):
+                raise FormatError(f"input_fingerprint must be a string, got {fingerprint!r}")
             if "k_l" in prov:
                 k_l = {layer: _json_int(k, "cluster count") for layer, k in prov["k_l"].items()}
                 if k_l != {str(cl.layer): cl.num_clusters for cl in clusterings}:
@@ -205,8 +205,8 @@ class AbstractionRecord:
                 clusterings=clusterings,
                 seed=_json_int(prov.get("seed", 0), "seed"),
                 epsilon_norm=epsilon_norm,
-                input_fingerprint=str(prov.get("input_fingerprint", "")),
-                num_inputs=num_inputs,
+                input_fingerprint=fingerprint,
+                num_inputs=_json_int(prov.get("num_inputs", 0), "num_inputs"),
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"record document has a missing or mistyped field: {exc}") from exc
@@ -229,13 +229,10 @@ def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> A
     layer, and so is their k-means++ seeding: every k tried takes the first k
     centres of that one draw, which are the centres a fresh draw of k picks.
     """
-    X = np.asarray(X, dtype=np.float64)
+    seed = check_int(seed, "seed")  # each layer seeds k-means with seed + layer, >= 0 even for -1
+    X = net._check_input(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError(f"X must be a non-empty (n, d) array, got shape {X.shape}")
-    if X.shape[1] != net.layer_sizes[0]:
-        raise ValidationError(
-            f"X has {X.shape[1]} features, network expects {net.layer_sizes[0]}"
-        )
     running = net
     clusterings = []
     for layer in net.hidden_layers:
@@ -276,9 +273,9 @@ def abstract(
     """
     k_l = dict(k_l or {})
     for layer in k_l:
-        if not 2 <= layer <= net.num_layers - 1:
+        if not 2 <= check_int(layer, "k_l layer") <= net.num_layers - 1:
             raise ValidationError(f"k_l layer {layer} is not hidden (2..{net.num_layers - 1})")
-        if not 1 <= k_l[layer] <= net.width(layer):
+        if not 1 <= check_int(k_l[layer], f"k_l[{layer}]") <= net.width(layer):
             raise ValidationError(
                 f"k_l[{layer}] must be in [1, {net.width(layer)}], got {k_l[layer]}"
             )

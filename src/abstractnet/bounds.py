@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import AbstractionRecord
-from .errors import ValidationError
+from .network import _as_delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,16 +61,8 @@ def total_error(record: AbstractionRecord, delta) -> np.ndarray:
     vector, element-wise.
     """
     abstract = record.abstract_net
-    d = np.asarray(delta, dtype=np.float64)
-    if d.ndim == 0:
-        d = np.full(abstract.layer_sizes[0], float(d))
-    if d.shape != (abstract.layer_sizes[0],):
-        raise ValidationError(
-            f"delta must be scalar or ({abstract.layer_sizes[0]},), got shape {d.shape}"
-        )
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValidationError("delta must be finite and non-negative")
-    acc = d
+    # a contiguous copy: matmul on a broadcast scalar skips BLAS and rounds differently
+    acc = np.array(_as_delta(delta, abstract.layer_sizes[:1]))
     for w in abstract.weights:
         acc = np.abs(w) @ acc
     return acc + clustering_error(record).output

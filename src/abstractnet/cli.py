@@ -5,7 +5,7 @@ prints one JSON line per query. Logs go to stderr; the level is set by the
 ABSTRACTNET_LOG environment variable (error|warn|info|debug, default warn).
 Exit codes: 0 success, 2 validation or input-format error (including a
 network, record or vector file whose JSON holds malformed values, and a
-non-finite delta or alpha), 3 internal error.
+non-finite delta, alpha or timeout), 3 internal error.
 Identical invocations produce identical reports except for the timing fields
 ("time" and everything under "timings").
 """
@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .abstraction import AbstractionRecord, abstract, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, load_csv, load_idx, split_dataset
-from .errors import AbstractnetError, FormatError, TrainingError, ValidationError
+from .errors import AbstractnetError, FormatError, TrainingError, ValidationError, check_int
 from .lifting import EPSILON_SCOPE_NOTE, abstract_verify_lift, run_report, verify_and_lift
-from .network import Network, RobustnessQuery
+from .network import Network, RobustnessQuery, _as_delta
 from .synthetic import make_synthetic_digits
 from .trainer import TrainConfig, train
 from .verifier import Verdict, _verdict_value, falsify, ibp_bounds, robust_mask
@@ -132,16 +132,8 @@ def _parse_delta(text: str, n_features: int):
     try:
         value = float(text)
     except ValueError:
-        arr = _parse_vector_file(text)
-        if arr.shape[0] != n_features:
-            raise ValidationError(
-                f"delta vector has {arr.shape[0]} entries, input has {n_features}"
-            )
-        if np.any(arr < 0):
-            raise ValidationError("delta entries must be >= 0")
-        return arr
-    if not np.isfinite(value) or value < 0:
-        raise ValidationError(f"delta must be finite and >= 0, got {value}")
+        value = _parse_vector_file(text)
+    _as_delta(value, (n_features,))
     return value
 
 
@@ -172,9 +164,7 @@ def _load_dataset(args) -> LabeledDataset:
 
 
 def _clamped_count(requested: int, available: int, what: str) -> int:
-    if requested < 1:
-        raise ValidationError(f"--count must be >= 1, got {requested}")
-    if requested > available:
+    if check_int(requested, "--count", 1) > available:
         log.warning("only %d %s available, requested %d", available, what, requested)
         return available
     return requested
@@ -277,17 +267,13 @@ def cmd_verify(args) -> int:
         net = AbstractionRecord.load(args.record).abstract_net
     else:
         net = Network.load(args.net)
-    width = net.layer_sizes[0]
-    delta = _parse_delta(args.delta, width)
+    delta = _parse_delta(args.delta, net.layer_sizes[0])
 
     if args.input is not None:
         try:
             index = int(args.input)
         except ValueError:
-            x = _parse_vector_file(args.input)
-            if x.shape[0] != width:
-                raise ValidationError(f"input has {x.shape[0]} features, network expects {width}")
-            ids, X = [None], x[None, :]
+            ids, X = [None], _parse_vector_file(args.input)[None, :]
         else:
             ds = _load_dataset(args)
             if not 0 <= index < len(ds):
@@ -467,8 +453,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        check_int(getattr(args, "seed", 0), "--seed")
         return args.func(args)
     except (ValidationError, FormatError) as exc:
         log.error("%s", exc)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ActivationMatrix
-from .errors import AbstractnetError, ValidationError
+from .errors import AbstractnetError, ValidationError, check_int, seeded_rng
 
 EPSILON_NORMS = ("l2", "linf")
 
@@ -124,7 +124,7 @@ class KMeansSeeding:
 
     def __init__(self, points: np.ndarray, seed: int):
         self.points = points
-        self._rng = np.random.default_rng(seed)
+        self._rng = seeded_rng(seed)
         self._chosen: list[int] = []
         self._d2 = None  # squared distance of each point to its nearest folded-in centre
         self._folded = 0  # how many chosen centres _d2 accounts for
@@ -203,16 +203,15 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValidationError(f"points must be a non-empty 2-d array, got shape {points.shape}")
     n = points.shape[0]
-    if not 1 <= k <= n:
+    if not 1 <= check_int(k, "k") <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
+    if not isinstance(seed, KMeansSeeding):
+        seed = KMeansSeeding(points, seed)
+    elif not (seed.points is points or np.array_equal(seed.points, points)):
+        raise ValidationError("the seeding was drawn on other points")
     if k == n:
         return [[i] for i in range(n)]
-    if isinstance(seed, KMeansSeeding):
-        if not (seed.points is points or np.array_equal(seed.points, points)):
-            raise ValidationError("the seeding was drawn on other points")
-        centroids = seed.centres(k)
-    else:
-        centroids = KMeansSeeding(points, seed).centres(k)
+    centroids = seed.centres(k)
     sq = np.sum(points * points, axis=1)[:, None]
     assign = prev = np.full(n, -1, dtype=np.int64)  # committed by the last step and the one before
     prev_obj = np.inf

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, seeded_rng
 from .network import Network, _forward_layers
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -189,8 +189,7 @@ def split_dataset(ds: LabeledDataset, fraction: float, seed: int = 0):
     """
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must be in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ds))
+    order = seeded_rng(seed).permutation(len(ds))
     n_held = max(1, int(round(len(ds) * fraction)))
     if n_held >= len(ds):
         raise ValidationError("split leaves no samples in the main part")
@@ -204,10 +203,6 @@ def split_dataset(ds: LabeledDataset, fraction: float, seed: int = 0):
 
 def accuracy(net: Network, ds: LabeledDataset) -> float:
     """Fraction of samples whose argmax output matches the label."""
-    if ds.num_features != net.layer_sizes[0]:
-        raise ValidationError(
-            f"dataset has {ds.num_features} features, network expects {net.layer_sizes[0]}"
-        )
     predicted = net.classify(ds.inputs)
     return float(np.mean(predicted == ds.labels))
 

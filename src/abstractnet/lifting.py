@@ -33,7 +33,7 @@ import numpy as np
 from .abstraction import AbstractionRecord, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, split_dataset
 from .errors import ValidationError
-from .network import Network, RobustnessQuery
+from .network import Network, RobustnessQuery, _as_delta
 from .verifier import (
     LayerBounds, Verdict, _box, _interval_pass, _IntervalStep, _verdict_value, check_robust,
     ibp_bounds, robust_mask,
@@ -194,8 +194,7 @@ def verify_and_lift(record: AbstractionRecord, X, delta) -> VerifyLiftResult:
     rows = rows[agree]
     lifted = np.zeros_like(proven)
     if rows.size:
-        d = np.asarray(delta, dtype=np.float64)
-        bounds = lifted_bounds(record, X[rows], d[rows] if d.ndim == 2 else d)
+        bounds = lifted_bounds(record, X[rows], _as_delta(delta, X.shape)[rows])
         lifted[rows] = robust_mask(bounds, labels[rows])
     t2 = time.perf_counter()
     return VerifyLiftResult(labels, proven, lifted, t1 - t0, t2 - t1)
@@ -243,10 +242,13 @@ def abstract_verify_lift(
     validation-split search. Then, in batches of ``BENCH_BATCH`` rows, it
     interval-verifies the original net and runs :func:`verify_and_lift` on
     the abstract one. ``delta`` is taken as by :func:`verify_and_lift`. Once
-    ``timeout_s`` seconds have passed since the split, no further batch starts.
+    ``timeout_s`` seconds have passed since the split, no further batch starts;
+    it must be finite and >= 0, or None for no deadline.
     """
-    X = np.asarray(X, dtype=np.float64)
-    d = np.asarray(delta, dtype=np.float64)
+    if timeout_s is not None and not 0 <= timeout_s < np.inf:
+        raise ValidationError(f"timeout_s must be finite and >= 0, got {timeout_s}")
+    X = net._check_input(X)
+    d = _as_delta(delta, X.shape)
     t_start = time.perf_counter()
     train_part, val_part = split_dataset(ds, val_fraction, seed)
     record = search_abstraction(
@@ -267,11 +269,11 @@ def abstract_verify_lift(
             done = pos
             break
         rows = slice(pos, pos + BENCH_BATCH)
-        batch, batch_delta = X[rows], d[rows] if d.ndim == 2 else delta
+        batch = X[rows]
         t0 = time.perf_counter()
-        original[rows] = robust_mask(ibp_bounds(net, batch, batch_delta), net.classify(batch))
+        original[rows] = robust_mask(ibp_bounds(net, batch, d[rows]), net.classify(batch))
         timings["original_verify_s"] += time.perf_counter() - t0
-        run = verify_and_lift(record, batch, batch_delta)
+        run = verify_and_lift(record, batch, d[rows])
         proven[rows], lifted[rows] = run.abstract_robust, run.lifted_robust
         timings["abstract_verify_s"] += run.verify_s
         timings["lift_s"] += run.lift_s
@@ -344,9 +346,7 @@ def pipeline(
     """
     queries = list(queries)
     width = net.layer_sizes[0]
-    if any(q.x.shape != (width,) for q in queries):
-        raise ValidationError(f"every query must have {width} features")
-    points = np.array([q.x for q in queries], dtype=np.float64).reshape(len(queries), width)
+    points = np.array([net._check_input(q.x) for q in queries]).reshape(len(queries), width)
     deltas = np.array([q.delta for q in queries], dtype=np.float64).reshape(points.shape)
     run = abstract_verify_lift(net, ds, alpha, points, deltas, seed, epsilon_norm)
     return run_report(run)

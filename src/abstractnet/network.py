@@ -19,26 +19,29 @@ from .errors import FormatError, ValidationError
 OUTPUT_ACTIVATIONS = ("identity", "relu")
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError(f"{name} must be a non-empty 2-d array, got shape {arr.shape}")
+def _frozen(a, name: str, ndim: int) -> np.ndarray:
+    """A read-only float64 copy of ``a``: non-empty, finite, with ``ndim`` axes."""
+    arr = np.array(a, dtype=np.float64, order="C")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValidationError(f"{name} must be a non-empty {ndim}-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
-def _as_vector(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+def _as_delta(delta, shape) -> np.ndarray:
+    """The radius ``delta`` of a box around inputs of ``shape``, as a read-only view of that shape.
+
+    A radius is a scalar, one entry per feature (shared by every row of a
+    batch), or one entry per input entry; it must be finite and non-negative.
+    """
+    d = np.asarray(delta, dtype=np.float64)
+    if d.ndim != 0 and d.shape not in (shape, shape[-1:]):
+        raise ValidationError(f"delta shape {d.shape} does not match input shape {shape}")
+    if not np.all(np.isfinite(d)) or np.any(d < 0):
+        raise ValidationError("delta must be finite and non-negative")
+    return np.broadcast_to(d, shape)
 
 
 def _forward_layers(weights, biases, x: np.ndarray, relu_output: bool = False):
@@ -93,8 +96,8 @@ class Network:
             raise ValidationError(
                 f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {self.output_activation!r}"
             )
-        ws = tuple(_as_matrix(w, f"weights[{j}]") for j, w in enumerate(self.weights))
-        bs = tuple(_as_vector(b, f"biases[{j}]") for j, b in enumerate(self.biases))
+        ws = tuple(_frozen(w, f"weights[{j}]", 2) for j, w in enumerate(self.weights))
+        bs = tuple(_frozen(b, f"biases[{j}]", 1) for j, b in enumerate(self.biases))
         for j, (w, b) in enumerate(zip(ws, bs)):
             if b.shape[0] != w.shape[0]:
                 raise ValidationError(
@@ -225,14 +228,6 @@ class RobustnessQuery:
     delta: np.ndarray
 
     def __post_init__(self):
-        x = _as_vector(self.x, "x")
-        d = np.asarray(self.delta, dtype=np.float64)
-        if d.ndim == 0:
-            d = np.full(x.shape, float(d))
-        d = _as_vector(d, "delta")
-        if d.shape != x.shape:
-            raise ValidationError(f"delta shape {d.shape} does not match x shape {x.shape}")
-        if np.any(d < 0):
-            raise ValidationError("delta must be non-negative")
+        x = _frozen(self.x, "x", 1)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", _frozen(_as_delta(self.delta, x.shape), "delta", 1))

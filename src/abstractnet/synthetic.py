@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ValidationError
+from .errors import ValidationError, check_int, seeded_rng
 
 _GLYPHS = [
     (
@@ -143,13 +143,10 @@ SHIFTED = np.array(
 
 def make_synthetic_digits(n: int, seed: int = 0, noise: float = 0.15) -> LabeledDataset:
     """Generate n noisy 8x8 digit images, flattened to 64 features in [0, 1]."""
-    if n < 1:
-        raise ValidationError(f"n must be positive, got {n}")
+    check_int(n, "n", 1)
     if not 0 <= noise < np.inf:
         raise ValidationError(f"noise must be finite and non-negative, got {noise}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     labels = rng.integers(0, 10, size=n)
     shifts = rng.integers(-1, 2, size=(n, 2))
     scales = rng.uniform(0.7, 1.0, size=n)

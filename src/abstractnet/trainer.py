@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, split_dataset
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, check_int, seeded_rng
 from .network import Network, _forward_layers
 
 OPTIMIZERS = ("sgd", "adam")
@@ -30,10 +30,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-7
 
 log = logging.getLogger(__name__)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -48,22 +44,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(_is_int(h) and h >= 1 for h in self.hidden):
-            raise ValidationError(f"hidden widths must be positive integers, got {self.hidden}")
-        if not (_is_int(self.epochs) and self.epochs >= 0):
-            raise ValidationError(f"epochs must be an integer >= 0, got {self.epochs!r}")
-        if not (_is_int(self.batch_size) and self.batch_size >= 1):
-            raise ValidationError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        for h in self.hidden:
+            check_int(h, "hidden width", 1)
+        check_int(self.epochs, "epochs")
+        check_int(self.batch_size, "batch_size", 1)
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if not (_is_int(self.patience) and self.patience >= 1):
-            raise ValidationError(f"patience must be an integer >= 1, got {self.patience!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_int(self.patience, "patience", 1)
+        check_int(self.seed, "seed")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValidationError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
@@ -73,7 +65,7 @@ def init_network(layer_sizes, seed: int = 0) -> Network:
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValidationError(f"layer_sizes must be >= 2 positive widths, got {sizes}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     ws = []
     bs = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -139,10 +131,7 @@ def loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     if net.output_activation != "identity":
         raise ValidationError("loss_and_grads requires an identity-output (logits) network")
     batch = LabeledDataset(np.atleast_2d(x), np.atleast_1d(y))
-    if batch.num_features != net.layer_sizes[0]:
-        raise ValidationError(
-            f"inputs must have {net.layer_sizes[0]} features, got {batch.num_features}"
-        )
+    net._check_input(batch.inputs)
     n_classes = net.layer_sizes[-1]
     if batch.num_classes > n_classes:
         raise ValidationError(f"labels must be in [0, {n_classes})")
@@ -170,7 +159,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
         view[...] = value
     grads, dws, dbs = _flat_views(sizes)
     train_part, val_part = split_dataset(ds, cfg.val_fraction, cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = seeded_rng(cfg.seed + 1)
     if cfg.optimizer == "adam":
         m = np.zeros_like(params)
         v = np.zeros_like(params)

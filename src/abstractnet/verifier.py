@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
-from .network import Network, RobustnessQuery
+from .errors import ValidationError, check_int, seeded_rng
+from .network import Network, RobustnessQuery, _as_delta
 
 
 class Verdict(Enum):
@@ -60,21 +60,11 @@ class LayerBounds:
 def _box(net: Network, x, delta):
     """Corners of the box [x - delta, x + delta], validated against the net's input.
 
-    ``x`` is one input (d,) or a batch (n, d). ``delta`` is a scalar, a
-    per-feature (d,) vector shared by every row, or an array shaped like x.
-    Both must be finite, and ``delta`` non-negative.
+    ``x`` is one input (d,) or a batch (n, d), checked by the net; ``delta``
+    is a radius for it, checked by :func:`abstractnet.network._as_delta`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    d = np.asarray(delta, dtype=np.float64)
-    width = net.layer_sizes[0]
-    if x.ndim not in (1, 2) or x.shape[-1] != width:
-        raise ValidationError(f"input must have shape ({width},) or (n, {width}), got {x.shape}")
-    if d.ndim != 0 and d.shape not in (x.shape, x.shape[-1:]):
-        raise ValidationError(f"delta shape {d.shape} does not match x shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("input contains non-finite entries")
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValidationError("delta must be finite and non-negative")
+    x = net._check_input(x)
+    d = _as_delta(delta, x.shape)
     return x - d, x + d
 
 
@@ -154,9 +144,7 @@ def check_robust(bounds: LayerBounds, target: int) -> Verdict:
     up = bounds.output_upper
     if lo.ndim != 1:
         raise ValidationError("check_robust expects single-query bounds")
-    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
-        raise ValidationError(f"target must be an integer, got {target!r}")
-    if not 0 <= target < lo.shape[0]:
+    if not check_int(target, "target") < lo.shape[0]:
         raise ValidationError(f"target {target} out of range for {lo.shape[0]} outputs")
     others = np.delete(up, target)
     if others.size == 0 or lo[target] > others.max():
@@ -201,10 +189,9 @@ def falsify(
     Returns the first counterexample found (a witness for NOT_ROBUST) or None.
     Sampling failure proves nothing.
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be positive, got {samples}")
+    check_int(samples, "samples", 1)
+    rng = seeded_rng(seed)
     target = int(net.classify(query.x))
-    rng = np.random.default_rng(seed)
     points = rng.uniform(
         query.x - query.delta, query.x + query.delta, size=(samples, query.x.shape[0])
     )

@@ -280,6 +280,8 @@ def test_record_from_json_errors():
         lambda doc: doc["provenance"].__setitem__("seed", 1.5),
         lambda doc: doc["provenance"].__setitem__("seed", "7"),
         lambda doc: doc["provenance"].__setitem__("seed", True),
+        lambda doc: doc["provenance"].__setitem__("seed", -7),
+        lambda doc: doc["provenance"].__setitem__("input_fingerprint", 5),
         lambda doc: doc["provenance"].__setitem__("num_inputs", "-3"),
         lambda doc: doc["provenance"].__setitem__("num_inputs", -3),
         lambda doc: doc["provenance"].__setitem__("num_inputs", 2.0),

@@ -1,5 +1,6 @@
 """Command line behavior: reports, exit codes, and determinism."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -224,7 +225,8 @@ def test_tampered_record_rejected(workdir, tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("seed", 1.5), ("num_inputs", -3), ("epsilon_norm", "l3"), ("k_l", {"2": 5})],
+    [("seed", 1.5), ("num_inputs", -3), ("epsilon_norm", "l3"), ("k_l", {"2": 5}),
+     ("seed", -7), ("input_fingerprint", 5)],
 )
 def test_record_with_bad_provenance_exits_2(workdir, tmp_path, field, value):
     d, _, _ = workdir
@@ -266,6 +268,17 @@ def test_bench_timeout_stops_early(workdir):
     assert report["timed_out"] is True
     assert report["queries_run"] == 0
     assert report["images_verified"] == 0
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-1"])
+def test_bench_rejects_a_timeout_that_is_no_deadline(workdir, timeout):
+    d, _, _ = workdir
+    rc, out, err = run_cli(
+        ["bench", "--net", str(d / "net.json"), *SYNTH, "--alpha", "0.1",
+         "--delta", "0.01", "--count", "4", f"--timeout-s={timeout}"]
+    )
+    assert (rc, out) == (2, "")
+    assert "timeout_s must be finite and >= 0" in err
 
 
 def test_bench_record_out(workdir, tmp_path):
@@ -423,6 +436,56 @@ def test_negative_seed_exits_2(workdir):
         rc, out, err = run_cli([*argv, *SYNTH, "--seed=-1"])
         assert (rc, out) == (2, "")
         assert "--seed must be >= 0" in err
+
+
+def workflow_digests(d):
+    """sha256 of each stdout (timings and paths stripped) and each file of a small workflow."""
+    net, alpha_rec, kl_rec, bench_rec = (d / f"{n}.json" for n in ("net", "alpha", "kl", "bench"))
+    data = ["--format", "synthetic", "--synthetic-count", "200", "--data-seed", "3"]
+    steps = {
+        "train": ["train", *data, "--arch", "12,8", "--epochs", "30", "--learning-rate", "0.02",
+                  "--seed", "1", "--out", net],
+        "abstract --alpha": ["abstract", "--net", net, *data, "--alpha", "0.85", "--seed", "2",
+                             "--out", alpha_rec],
+        "abstract --kl": ["abstract", "--net", net, *data, "--kl", "2:5,3:4",
+                          "--epsilon-norm", "linf", "--seed", "2", "--out", kl_rec],
+        "verify --falsify": ["verify", "--record", kl_rec, *data, "--count", "6", "--delta", "0.3",
+                             "--falsify", "--samples", "200", "--seed", "4"],
+        "lift": ["lift", "--record", alpha_rec, *data, "--count", "6", "--delta", "0"],
+        "bench": ["bench", "--net", net, *data, "--alpha", "0.85", "--delta", "0", "--count", "6",
+                  "--seed", "2", "--record-out", bench_rec],
+    }
+    digests = {}
+    for name, argv in steps.items():
+        rc, out, _ = run_cli([str(a) for a in argv])
+        assert rc == 0, name
+        if name != "verify --falsify":
+            report = strip_timings(json.loads(out))
+            out = json.dumps({k: v for k, v in report.items() if k not in ("out", "record")})
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    for path in (net, alpha_rec, kl_rec, bench_rec):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+# computed with the code as it stood before seeds, counts and radii were each
+# checked in one place; that change promised to alter no output byte
+PINNED_WORKFLOW = {
+    "train": "c27b33f2cb873c411096f1f44ed539bb022561829bf3a60e06ba367a17ba794b",
+    "abstract --alpha": "9888b508bf144df013aaf22540628eaeb8891b046badcae05c16c8feceb665c4",
+    "abstract --kl": "bfbb1deed243d6fb5b2dd0951b9e5f607f7893a87807e5ec75f6a36de7eca224",
+    "verify --falsify": "112895861ac6eef64b8dd2070fe5cfdbb51767d143a870f27878ea8f9edd431b",
+    "lift": "397fddf6fc8c417849a8418408d757c927579310b6f71e77f5f46ed4c6e3710f",
+    "bench": "8c3380f00a6ebdc173d4c64cd10ecf3c40d72b4427a0e04507464313a326b28a",
+    "net.json": "6e09833ad0526d68a1f5ed91ac82cd6b48e159e514171f4e213bf6eabb2a5bbe",
+    "alpha.json": "5bf0f5042d671511aa3f581a2b3b5e5174da4a839fef1362a4dc9fbadebb16d9",
+    "kl.json": "847df94ee49839d7b04ce4cad276532acd8a2c70b193bde377bc15bccdba17fd",
+    "bench.json": "5bf0f5042d671511aa3f581a2b3b5e5174da4a839fef1362a4dc9fbadebb16d9",
+}
+
+
+def test_workflow_outputs_are_pinned(tmp_path):
+    assert workflow_digests(tmp_path) == PINNED_WORKFLOW
 
 
 def test_debug_log_leaves_train_stdout_unchanged(monkeypatch):
