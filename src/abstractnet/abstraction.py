@@ -118,13 +118,13 @@ class AbstractionRecord:
         return sum(cl.num_neurons - cl.num_clusters for cl in self.clusterings)
 
     def clustering_for(self, layer: int) -> LayerClustering:
-        if not 2 <= layer <= self.original_net.num_layers - 1:
+        if not 2 <= check_int(layer, "layer") <= self.original_net.num_layers - 1:
             raise ValidationError(f"no clustering for layer {layer}")
         return self.clusterings[layer - 2]
 
     def neuron_map(self, layer: int) -> np.ndarray:
         """Original neuron index -> abstract neuron index for one layer 1..L."""
-        if not 1 <= layer <= len(self.layers):
+        if not 1 <= check_int(layer, "layer") <= len(self.layers):
             raise ValidationError(f"layer must be in [1, {len(self.layers)}], got {layer}")
         return self.layers[layer - 1].neuron_map()
 

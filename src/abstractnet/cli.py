@@ -8,11 +8,16 @@ network, record or vector file whose JSON holds malformed values, and a
 non-finite delta, alpha or timeout), 3 internal error.
 Identical invocations produce identical reports except for the timing fields
 ("time" and everything under "timings").
+``verify`` and ``lift`` read only the csv or idx rows they verify: the first
+``--count`` rows, or the first i + 1 for ``--input i``. A malformed row after
+those is not reported. :func:`main` builds the argument parser once per
+process, on first use, so in-process callers pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -151,7 +156,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-seed", type=int, default=0, help="synthetic generator seed")
 
 
-def _load_dataset(args) -> LabeledDataset:
+def _load_dataset(args, max_rows: int | None = None) -> LabeledDataset:
+    """The dataset the flags name; a csv or idx file is read up to its first ``max_rows`` rows."""
     if args.format == "synthetic":
         return make_synthetic_digits(args.synthetic_count, seed=args.data_seed, noise=args.noise)
     if not args.data:
@@ -159,8 +165,8 @@ def _load_dataset(args) -> LabeledDataset:
     if args.format == "idx":
         if not args.labels:
             raise ValidationError("--format idx needs --labels")
-        return load_idx(args.data, args.labels)
-    return load_csv(args.data)
+        return load_idx(args.data, args.labels, max_rows)
+    return load_csv(args.data, max_rows=max_rows)
 
 
 def _clamped_count(requested: int, available: int, what: str) -> int:
@@ -263,25 +269,32 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    vector = index = None
+    if args.input is None:
+        count = check_int(10 if args.count is None else args.count, "--count", 1)
+    else:
+        try:
+            index = int(args.input)
+        except ValueError:
+            vector = args.input
+        else:
+            check_int(index, "--input index")
     if args.record:
         net = AbstractionRecord.load(args.record).abstract_net
     else:
         net = Network.load(args.net)
     delta = _parse_delta(args.delta, net.layer_sizes[0])
 
-    if args.input is not None:
-        try:
-            index = int(args.input)
-        except ValueError:
-            ids, X = [None], _parse_vector_file(args.input)[None, :]
-        else:
-            ds = _load_dataset(args)
-            if not 0 <= index < len(ds):
-                raise ValidationError(f"--input index {index} out of range for {len(ds)} rows")
-            ids, X = [index], ds.inputs[index : index + 1]
+    if vector is not None:
+        ids, X = [None], _parse_vector_file(vector)[None, :]
+    elif index is not None:
+        ds = _load_dataset(args, max_rows=index + 1)
+        if index >= len(ds):
+            raise ValidationError(f"--input index {index} out of range for {len(ds)} rows")
+        ids, X = [index], ds.inputs[index : index + 1]
     else:
-        ds = _load_dataset(args)
-        n = _clamped_count(10 if args.count is None else args.count, len(ds), "inputs")
+        ds = _load_dataset(args, max_rows=count)
+        n = _clamped_count(count, len(ds), "inputs")
         ids, X = list(range(n)), ds.inputs[:n]
 
     targets = net.classify(X)
@@ -323,10 +336,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    count = check_int(args.count, "--count", 1)
     record = AbstractionRecord.load(args.record)
-    ds = _load_dataset(args)
+    ds = _load_dataset(args, max_rows=count)
     delta = _parse_delta(args.delta, record.original_net.layer_sizes[0])
-    n = _clamped_count(args.count, len(ds), "inputs")
+    n = _clamped_count(count, len(ds), "inputs")
     run = verify_and_lift(record, ds.inputs[:n], delta)
     results = [
         {"query": i, "target": int(t), "abstract": _verdict_value(a), "lifted": _verdict_value(b)}
@@ -448,10 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         check_int(getattr(args, "seed", 0), "--seed")
         return args.func(args)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, seeded_rng
-from .network import Network, _forward_layers
+from .errors import FormatError, ValidationError, check_int, seeded_rng
+from .network import Network, _forward_output
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -96,25 +96,30 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
+def load_idx(images_path, labels_path, max_rows: int | None = None) -> LabeledDataset:
     """Load an image/label pair in the big-endian IDX format.
 
     Pixel values are scaled to [0, 1] and images flattened row-major. Files
-    ending in .gz are decompressed on the fly.
+    ending in .gz are decompressed on the fly. Both headers are checked, and
+    their counts must match; then only the first ``max_rows`` images and
+    labels (all of them if None) are read.
     """
+    if max_rows is not None:
+        check_int(max_rows, "max_rows", 1)
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(fh, count * rows * cols, "image data")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+        n = count if max_rows is None else min(count, max_rows)
+        raw = _read_exact(fh, n * rows * cols, "image data")
+        images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
     with _open_maybe_gzip(labels_path) as fh:
         magic, lcount = struct.unpack(">II", _read_exact(fh, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        labels = np.frombuffer(_read_exact(fh, lcount, "label data"), dtype=np.uint8)
-    if count != lcount:
-        raise ValidationError(f"{count} images but {lcount} labels")
+        if count != lcount:
+            raise ValidationError(f"{count} images but {lcount} labels")
+        labels = np.frombuffer(_read_exact(fh, n, "label data"), dtype=np.uint8)
     return LabeledDataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
@@ -141,12 +146,16 @@ def _csv_line_of_row(path, header: bool, row: int) -> int:
     return lineno
 
 
-def load_csv(path, n_inputs: int | None = None) -> LabeledDataset:
+def load_csv(path, n_inputs: int | None = None, max_rows: int | None = None) -> LabeledDataset:
     """Load rows of ``label, v1, ..., vn``. A non-numeric first token marks a header.
 
-    Blank lines are skipped. A ragged or non-numeric row raises
-    :class:`FormatError` naming its 1-based line.
+    Blank lines are skipped. Only the first ``max_rows`` data rows (all of
+    them if None) are read; the header and blank lines do not count, and the
+    lines after those rows are never parsed. A ragged or non-numeric row that
+    is read raises :class:`FormatError` naming its 1-based line.
     """
+    if max_rows is not None:
+        check_int(max_rows, "max_rows", 1)
     with _open_csv(path) as fh:
         first = fh.readline()
         try:
@@ -162,6 +171,7 @@ def load_csv(path, n_inputs: int | None = None) -> LabeledDataset:
                 data = np.loadtxt(
                     (line for line in fh if not line.isspace()),
                     delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                    max_rows=max_rows,
                 )
         except ValueError as exc:
             if match := _BAD_VALUE.search(str(exc)):
@@ -214,7 +224,7 @@ def collect_activations(net: Network, X: np.ndarray, layer: int) -> ActivationMa
     has one row per neuron and one column per input. The forward pass stops at
     ``layer``, with the same arithmetic as the full pass up to there.
     """
-    if not 2 <= layer <= net.num_layers - 1:
+    if not 2 <= check_int(layer, "layer") <= net.num_layers - 1:
         raise ValidationError(
             f"layer must be hidden (2..{net.num_layers - 1}), got {layer}"
         )
@@ -222,7 +232,7 @@ def collect_activations(net: Network, X: np.ndarray, layer: int) -> ActivationMa
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError(f"X must be a non-empty (n, d) array, got shape {X.shape}")
     depth = layer - 1
-    _, acts = _forward_layers(
+    h = _forward_output(
         net.weights[:depth], net.biases[:depth], net._check_input(X), relu_output=True
     )
-    return ActivationMatrix(layer=layer, values=acts[-1].T.copy())
+    return ActivationMatrix(layer=layer, values=h.T.copy())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_int
 
 OUTPUT_ACTIVATIONS = ("identity", "relu")
 
@@ -54,6 +54,18 @@ def _forward_layers(weights, biases, x: np.ndarray, relu_output: bool = False):
         pres.append(h)
         acts.append(np.maximum(h, 0.0) if j < last or relu_output else h)
     return pres, acts
+
+
+def _forward_output(weights, biases, x: np.ndarray, relu_output: bool = False) -> np.ndarray:
+    """The last layer of :func:`_forward_layers`, bit for bit, keeping one layer at a time."""
+    h = x
+    last = len(weights) - 1
+    for j, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w.T
+        h += b
+        if j < last or relu_output:
+            np.maximum(h, 0.0, out=h)
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +135,7 @@ class Network:
     def width(self, layer: int) -> int:
         """Width of 1-based layer index ``layer``."""
         sizes = self.layer_sizes
-        if not 1 <= layer <= len(sizes):
+        if not 1 <= check_int(layer, "layer") <= len(sizes):
             raise ValidationError(f"layer must be in [1, {len(sizes)}], got {layer}")
         return sizes[layer - 1]
 
@@ -153,8 +165,14 @@ class Network:
         return LayerTrace(tuple(pres), tuple(acts))
 
     def forward(self, x) -> np.ndarray:
-        """Network output for a single input or a batch."""
-        return self.forward_trace(x).output
+        """Network output for a single input or a batch.
+
+        Bit-identical to ``forward_trace(x).output``, but only one layer's
+        values are alive at a time.
+        """
+        return _forward_output(
+            self.weights, self.biases, self._check_input(x), self.output_activation == "relu"
+        )
 
     def classify(self, x) -> np.ndarray | np.intp:
         """Argmax label(s); ties resolve to the lowest index."""

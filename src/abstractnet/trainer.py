@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import LabeledDataset, split_dataset
 from .errors import TrainingError, ValidationError, check_int, seeded_rng
-from .network import Network, _forward_layers
+from .network import Network, _forward_layers, _forward_output
 
 OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
@@ -62,8 +62,8 @@ class TrainConfig:
 
 def init_network(layer_sizes, seed: int = 0) -> Network:
     """He-uniform weights (bound sqrt(6 / fan_in)) and zero biases."""
-    sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
+    sizes = [check_int(s, "layer width", 1) for s in layer_sizes]
+    if len(sizes) < 2:
         raise ValidationError(f"layer_sizes must be >= 2 positive widths, got {sizes}")
     rng = seeded_rng(seed)
     ws = []
@@ -186,7 +186,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> Network:
                 params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
             if not np.all(np.isfinite(params)):
                 raise TrainingError(f"parameters diverged at epoch {epoch}", epoch=epoch)
-        val_logits = _forward_layers(ws, bs, val_part.inputs)[0][-1]
+        val_logits = _forward_output(ws, bs, val_part.inputs)
         val_loss = _mean_nll(_log_softmax(val_logits), val_part.labels)
         log.debug("epoch %d: validation loss %.6g", epoch, val_loss)
         if not np.isfinite(val_loss):

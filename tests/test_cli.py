@@ -12,6 +12,7 @@ from abstractnet import (
     AbstractionRecord, FormatError, Network, RobustnessQuery, ValidationError,
     make_synthetic_digits, pipeline,
 )
+from abstractnet import cli
 from abstractnet.cli import main
 from helpers import strip_timings
 
@@ -149,6 +150,66 @@ def test_verify_single_index_and_vector_file(workdir, tmp_path):
          "--delta", "0"]
     )
     assert rc == 2
+
+
+def write_query_csv(path, bad_row=None):
+    """Five label-first digit rows; data row ``bad_row`` (1-based) gets a non-numeric value."""
+    ds = make_synthetic_digits(5, seed=7)
+    rows = [[str(y)] + [repr(v) for v in x] for y, x in zip(ds.labels.tolist(), ds.inputs.tolist())]
+    if bad_row is not None:
+        rows[bad_row - 1][3] = "oops"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return str(path)
+
+
+def test_verify_and_lift_read_only_the_rows_they_use(workdir, tmp_path):
+    # a malformed 4th row is never parsed by a job that uses the first two rows
+    d, _, _ = workdir
+    clean = write_query_csv(tmp_path / "clean.csv")
+    bad = write_query_csv(tmp_path / "bad.csv", bad_row=4)
+    jobs = [
+        ["verify", "--net", str(d / "net.json"), "--count", "2", "--delta", "0.001"],
+        ["verify", "--net", str(d / "net.json"), "--input", "1", "--delta", "0.001"],
+        ["lift", "--record", str(d / "record.json"), "--count", "2", "--delta", "0.001"],
+    ]
+    for argv in jobs:
+        outputs = []
+        for data in (clean, bad):
+            rc, out, _ = run_cli([*argv, "--data", data])
+            assert rc == 0
+            outputs.append(out if argv[0] == "verify" else strip_timings(json.loads(out)))
+        assert outputs[0] == outputs[1]
+    rc, _, err = run_cli([*jobs[0][:-4], "--count", "4", "--delta", "0", "--data", bad])
+    assert rc == 2 and "line 4: non-numeric value" in err
+
+
+def test_verify_count_past_the_end_and_negative_index(workdir, tmp_path):
+    d, _, _ = workdir
+    data = write_query_csv(tmp_path / "q.csv")
+    base = ["verify", "--net", str(d / "net.json"), "--data", data, "--delta", "0"]
+    rc, out, err = run_cli([*base, "--count", "7"])
+    assert rc == 0
+    assert "only 5 inputs available" in err
+    assert [json.loads(line)["query"] for line in out.splitlines()] == [0, 1, 2, 3, 4]
+    rc, out, err = run_cli([*base, "--input", "-1"])
+    assert rc == 2 and out == ""
+    assert "--input index" in err
+
+
+def test_the_parser_is_built_once(workdir, monkeypatch):
+    d, _, _ = workdir
+    argv = ["verify", "--net", str(d / "net.json"), *SYNTH, "--count", "2", "--delta", "0"]
+    cli._parser.cache_clear()
+    fresh = run_cli(argv)
+    cli._parser.cache_clear()
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    with pytest.raises(SystemExit):
+        run_cli(["no-such-command"])
+    assert run_cli(argv) == fresh
+    assert run_cli(argv) == fresh
+    assert len(builds) == 1
 
 
 def test_verify_falsify_attaches_witness(workdir):

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,34 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(ipath, lpath)
 
 
+@pytest.mark.parametrize("gz", [False, True])
+def test_idx_row_limit_reads_the_first_rows(tmp_path, gz):
+    pixels = [[0, 255], [1, 2], [3, 4]]
+    ipath, lpath = write_idx_pair(tmp_path, pixels, [7, 8, 9], 1, 2, gz=gz)
+    full = load_idx(ipath, lpath)
+    for k in (1, 2, 3, 10):
+        head = load_idx(ipath, lpath, max_rows=k)
+        assert head.inputs.tobytes() == full.inputs[:k].tobytes()
+        assert head.labels.tobytes() == full.labels[:k].tobytes()
+
+
+def test_idx_row_limit_leaves_later_images_unread(tmp_path):
+    # the header promises 3 images but the data stops after 2
+    ipath, lpath = write_idx_pair(tmp_path, [[1], [2], [3]], [0, 1, 2], 1, 1)
+    ipath.write_bytes(ipath.read_bytes()[:-1])
+    assert load_idx(ipath, lpath, max_rows=2).labels.tolist() == [0, 1]
+    with pytest.raises(FormatError):
+        load_idx(ipath, lpath, max_rows=3)
+
+
+def test_idx_row_limit_still_checks_the_counts(tmp_path):
+    ipath, _ = write_idx_pair(tmp_path, [[1], [2]], [0, 1], 1, 1)
+    lpath = tmp_path / "short_labels.bin"
+    lpath.write_bytes(struct.pack(">II", LABELS_MAGIC, 1) + bytes([0]))
+    with pytest.raises(ValidationError):
+        load_idx(ipath, lpath, max_rows=1)
+
+
 def test_csv_basic_and_header(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("label,a,b\n1,0.5,0.25\n0,-1,2\n")
@@ -136,25 +165,65 @@ def test_csv_values_bit_identical_to_float(tmp_path):
     assert ds.labels.tolist() == [i % 10 for i in range(len(rows))]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1,0.5,0.25\n0,-1,2e-3\n",
-        "label,a,b\n1,0.5,0.25\n0,-1,2e-3\n",  # header row
-        "\n1,0.5,0.25\n\n  \n0,-1,2e-3\n\n",  # blank lines
-        "label,a,b\r\n1,0.5,0.25\r\n\r\n0,-1,2e-3\r\n",  # CRLF line ends
-        "1,0.5,0.25\n0,-1,2e-3",  # no final newline
-        "1, 0.5 ,0.25\n0,\t-1,2e-3 \n",  # spaces around values
-    ],
-)
-@pytest.mark.parametrize("gz", [False, True])
-def test_csv_layouts_read_the_same_rows(tmp_path, text, gz):
+CSV_LAYOUTS = [
+    "1,0.5,0.25\n0,-1,2e-3\n",
+    "label,a,b\n1,0.5,0.25\n0,-1,2e-3\n",  # header row
+    "\n1,0.5,0.25\n\n  \n0,-1,2e-3\n\n",  # blank lines
+    "label,a,b\r\n1,0.5,0.25\r\n\r\n0,-1,2e-3\r\n",  # CRLF line ends
+    "1,0.5,0.25\n0,-1,2e-3",  # no final newline
+    "1, 0.5 ,0.25\n0,\t-1,2e-3 \n",  # spaces around values
+]
+
+
+def write_text(tmp_path, text, gz):
     path = tmp_path / ("d.csv.gz" if gz else "d.csv")
     with (gzip.open if gz else open)(path, "wb") as fh:
         fh.write(text.encode())
-    ds = load_csv(path)
+    return path
+
+
+@pytest.mark.parametrize("text", CSV_LAYOUTS)
+@pytest.mark.parametrize("gz", [False, True])
+def test_csv_layouts_read_the_same_rows(tmp_path, text, gz):
+    ds = load_csv(write_text(tmp_path, text, gz))
     assert ds.labels.tolist() == [1, 0]
     assert ds.inputs.tolist() == [[0.5, 0.25], [-1.0, 0.002]]
+
+
+@pytest.mark.parametrize("text", CSV_LAYOUTS)
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_csv_row_limit_reads_the_first_rows(tmp_path, text, gz, k):
+    # headers and blank lines do not count; a limit past the end reads every row
+    path = write_text(tmp_path, text, gz)
+    full = load_csv(path)
+    head = load_csv(path, max_rows=k)
+    assert head.inputs.tobytes() == full.inputs[:k].tobytes()
+    assert head.labels.tobytes() == full.labels[:k].tobytes()
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_csv_row_limit_leaves_later_rows_unread(tmp_path, gz):
+    # data rows 1-3 are on lines 3, 4 and 6; row 4 (line 7) is malformed
+    path = write_text(tmp_path, "label,a\n\n1,0.5\n0,0.25\n\n1,0.75\n0,oops\n1,1.0\n", gz)
+    assert load_csv(path, max_rows=3).labels.tolist() == [1, 0, 1]
+    for k in (4, 5, None):
+        with pytest.raises(FormatError, match="^line 7: "):
+            load_csv(path, max_rows=k)
+    path = write_text(tmp_path, "1,0.5\n0,0.25\n1,0.75,3\n", gz)  # ragged row 3
+    assert len(load_csv(path, max_rows=2)) == 2
+    with pytest.raises(FormatError, match="^line 3: "):
+        load_csv(path, max_rows=3)
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, True])
+def test_row_limit_must_be_a_positive_count(tmp_path, k):
+    path = write_text(tmp_path, CSV_LAYOUTS[0], False)
+    with pytest.raises(ValidationError):
+        load_csv(path, max_rows=k)
+    ipath, lpath = write_idx_pair(tmp_path, [[1], [2]], [0, 1], 1, 1)
+    with pytest.raises(ValidationError):
+        load_idx(ipath, lpath, max_rows=k)
 
 
 @pytest.mark.parametrize(
@@ -266,10 +335,29 @@ def test_collect_activations_stops_at_its_layer_bit_for_bit():
         for layer in net.hidden_layers:
             act = collect_activations(net, X, layer)
             assert np.array_equal(act.values, trace.activations[layer - 1].T)
+        # the output-only pass keeps one layer at a time, with the same arithmetic
+        assert net.forward(X).tobytes() == trace.output.tobytes()
+        assert net.forward(X[0]).tobytes() == net.forward_trace(X[0]).output.tobytes()
     with pytest.raises(ValidationError):  # inputs are still checked against the net
         collect_activations(net, X[:, :4], 2)
     with pytest.raises(ValidationError):
         collect_activations(net, np.full((2, 5), np.nan), 2)
+
+
+def test_classify_keeps_one_layer_alive():
+    # a 3x100 net on 2000 rows: the pass holds at most two 2000x100 layers at once
+    rng = np.random.default_rng(5)
+    sizes = (64, 100, 100, 100, 10)
+    ws = tuple(rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:]))
+    net = Network(ws, tuple(np.zeros(o) for o in sizes[1:]))
+    X = rng.uniform(size=(2000, 64))
+    tracemalloc.start()
+    try:
+        net.classify(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2000 * 100 * 8
 
 
 def test_collect_activations_rejects_non_hidden():

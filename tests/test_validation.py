@@ -1,11 +1,11 @@
-"""Seeds, counts and radii from a caller are rejected with ValidationError at every entry point."""
+"""Seeds, counts, widths, layer indices and radii from a caller are rejected with ValidationError."""
 
 import numpy as np
 import pytest
 
 from abstractnet import (
-    LabeledDataset, RobustnessQuery, ValidationError, abstract, falsify, init_network, kmeans,
-    make_synthetic_digits, search_abstraction, split_dataset,
+    LabeledDataset, RobustnessQuery, ValidationError, abstract, collect_activations, falsify,
+    init_network, kmeans, make_synthetic_digits, search_abstraction, split_dataset,
 )
 
 NET = init_network((4, 6, 5, 3), seed=0)
@@ -13,6 +13,7 @@ X = np.random.default_rng(1).uniform(size=(30, 4))
 DS = LabeledDataset(X, NET.classify(X))
 POINTS = np.random.default_rng(2).normal(size=(8, 3))
 QUERY = RobustnessQuery(X[0], 0.1)
+RECORD = abstract(NET, X, {2: 3}, seed=0)
 
 
 def search(seed):
@@ -37,6 +38,20 @@ REJECTED = [
     pytest.param(lambda: make_synthetic_digits(2.5), id="synthetic-n-float"),
     pytest.param(lambda: falsify(NET, QUERY, samples=2.5), id="falsify-samples-float"),
     pytest.param(lambda: RobustnessQuery(np.zeros(0), 0.1), id="query-zero-features"),
+    *(
+        pytest.param(lambda w=w: init_network((4, w, 3)), id=f"init_network-width-{w}")
+        for w in (6.7, True)
+    ),
+    *(
+        pytest.param(call, id=f"{name}-layer-{layer}")
+        for layer in (2.0, True)
+        for name, call in (
+            ("width", lambda layer=layer: NET.width(layer)),
+            ("collect_activations", lambda layer=layer: collect_activations(NET, X, layer)),
+            ("neuron_map", lambda layer=layer: RECORD.neuron_map(layer)),
+            ("clustering_for", lambda layer=layer: RECORD.clustering_for(layer)),
+        )
+    ),
 ]
 
 
