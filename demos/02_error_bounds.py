@@ -1,7 +1,7 @@
 """How far can the merged network drift from the original?
 
-The abstraction records, for every merged-away neuron, its activation
-distance to the representative on the collection inputs. Those epsilons
+The abstraction records, for every merged-away neuron, its largest
+activation gap to the representative over the collection inputs. Those epsilons
 propagate layer by layer into a guaranteed output-gap bound, and a second
 bound extends it from the collection points to a whole perturbation box.
 

@@ -6,8 +6,9 @@
 #
 # Lifting succeeds when the network carries genuinely redundant neurons
 # (see demos/04_pipeline_report.py); on this compact trained net the
-# epsilons are large, so lifted verdicts here stay "unknown" - which is
-# the honest answer.
+# interval proofs on the abstraction already fail at this radius, so there
+# is nothing to lift and lifted verdicts here stay "unknown" - which is the
+# honest answer.
 #
 # Run:  sh demos/05_cli_workflow.sh
 set -e

@@ -19,7 +19,6 @@ from .data import (
 )
 from .synthetic import make_synthetic_digits
 from .clustering import (
-    EPSILON_NORMS,
     LayerClustering,
     cluster_layer,
     epsilon_vector,
@@ -70,7 +69,6 @@ __all__ = [
     "accuracy",
     "collect_activations",
     "make_synthetic_digits",
-    "EPSILON_NORMS",
     "kmeans",
     "LayerClustering",
     "cluster_layer",

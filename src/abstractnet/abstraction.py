@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import EPSILON_NORMS, KMeansSeeding, LayerClustering, cluster_layer
+from .clustering import KMeansSeeding, LayerClustering, cluster_layer
 from .data import LabeledDataset, accuracy, collect_activations
 from .errors import FormatError, ValidationError, check_int
 from .network import Network
@@ -76,7 +76,6 @@ class AbstractionRecord:
     original_net: Network
     clusterings: tuple[LayerClustering, ...]
     seed: int = 0
-    epsilon_norm: str = "l2"
     input_fingerprint: str = ""
     num_inputs: int = 0
     abstract_net: Network = field(init=False)
@@ -152,7 +151,6 @@ class AbstractionRecord:
             "provenance": {
                 "k_l": {str(k): v for k, v in self.k_l.items()},
                 "seed": self.seed,
-                "epsilon_norm": self.epsilon_norm,
                 "input_fingerprint": self.input_fingerprint,
                 "num_inputs": self.num_inputs,
             },
@@ -179,6 +177,12 @@ class AbstractionRecord:
             original_net = Network.from_dict(doc["original_network"])
             layers = doc["layers"]
             prov = doc["provenance"]
+            if "epsilon_norm" in prov:
+                raise FormatError(
+                    "the record's provenance names an epsilon_norm, so its epsilons may be "
+                    "l2 distances rather than the largest gaps over X; re-run `abstract` "
+                    "to write the record again"
+                )
             clusterings = tuple(
                 LayerClustering(
                     layer=_json_int(entry["layer"]),
@@ -188,11 +192,6 @@ class AbstractionRecord:
                 )
                 for entry in layers
             )
-            epsilon_norm = prov.get("epsilon_norm", "l2")
-            if epsilon_norm not in EPSILON_NORMS:
-                raise FormatError(
-                    f"epsilon_norm must be one of {EPSILON_NORMS}, got {epsilon_norm!r}"
-                )
             fingerprint = prov.get("input_fingerprint", "")
             if not isinstance(fingerprint, str):
                 raise FormatError(f"input_fingerprint must be a string, got {fingerprint!r}")
@@ -204,7 +203,6 @@ class AbstractionRecord:
                 original_net=original_net,
                 clusterings=clusterings,
                 seed=_json_int(prov.get("seed", 0), "seed"),
-                epsilon_norm=epsilon_norm,
                 input_fingerprint=fingerprint,
                 num_inputs=_json_int(prov.get("num_inputs", 0), "num_inputs"),
             )
@@ -219,7 +217,7 @@ class AbstractionRecord:
             return cls.from_json(fh.read())
 
 
-def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> AbstractionRecord:
+def _abstract_layers(net: Network, X, seed: int, choose) -> AbstractionRecord:
     """The per-layer merge loop behind :func:`abstract` and :func:`search_abstraction`.
 
     Shallow to deep, ``choose(layer, running, cluster)`` returns the clustering
@@ -238,9 +236,7 @@ def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> A
     for layer in net.hidden_layers:
         act = functools.cache(lambda: collect_activations(running, X, layer))
         seeding = functools.cache(lambda: KMeansSeeding(act().values, seed + layer))
-        clustering = choose(
-            layer, running, lambda k: cluster_layer(act(), k, seed=seeding(), norm=epsilon_norm)
-        )
+        clustering = choose(layer, running, lambda k: cluster_layer(act(), k, seed=seeding()))
         if clustering is None:
             clustering = LayerClustering.identity(layer, running.width(layer))
         else:
@@ -250,7 +246,6 @@ def _abstract_layers(net: Network, X, seed: int, epsilon_norm: str, choose) -> A
         original_net=net,
         clusterings=tuple(clusterings),
         seed=seed,
-        epsilon_norm=epsilon_norm,
         input_fingerprint=_fingerprint(X),
         num_inputs=X.shape[0],
     )
@@ -261,7 +256,6 @@ def abstract(
     X: np.ndarray,
     k_l: dict[int, int] | None = None,
     seed: int = 0,
-    epsilon_norm: str = "l2",
 ) -> AbstractionRecord:
     """Merge each hidden layer down to ``k_l[layer]`` neurons.
 
@@ -284,7 +278,7 @@ def abstract(
         k = k_l.get(layer, running.width(layer))
         return cluster(k) if k < running.width(layer) else None
 
-    return _abstract_layers(net, X, seed, epsilon_norm, choose)
+    return _abstract_layers(net, X, seed, choose)
 
 
 def reduction_rate(record: AbstractionRecord) -> float:
@@ -302,7 +296,6 @@ def search_abstraction(
     ds: LabeledDataset,
     alpha: float,
     seed: int = 0,
-    epsilon_norm: str = "l2",
     *,
     val: LabeledDataset,
     X: np.ndarray | None = None,
@@ -315,7 +308,7 @@ def search_abstraction(
     network. The full-width k (identity) is always admissible, so a layer that
     tolerates no merging keeps its width. The clustering tried at the committed
     k is the one kept, so the record equals
-    ``abstract(net, X, record.k_l, seed, epsilon_norm)``.
+    ``abstract(net, X, record.k_l, seed)``.
 
     Activations are collected on ``X``, by default the inputs of ``ds``.
     Requires ``alpha`` to be at most the network's validation accuracy.
@@ -342,7 +335,7 @@ def search_abstraction(
                 lo = mid + 1
         return best
 
-    return _abstract_layers(net, ds.inputs if X is None else X, seed, epsilon_norm, choose)
+    return _abstract_layers(net, ds.inputs if X is None else X, seed, choose)
 
 
 def identify_clusters(
@@ -350,10 +343,9 @@ def identify_clusters(
     ds: LabeledDataset,
     alpha: float,
     seed: int = 0,
-    epsilon_norm: str = "l2",
     *,
     val: LabeledDataset,
     X: np.ndarray | None = None,
 ) -> dict[int, int]:
     """The cluster counts ``{layer: k}`` that :func:`search_abstraction` commits."""
-    return search_abstraction(net, ds, alpha, seed, epsilon_norm, val=val, X=X).k_l
+    return search_abstraction(net, ds, alpha, seed, val=val, X=X).k_l

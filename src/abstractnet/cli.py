@@ -226,17 +226,14 @@ def cmd_abstract(args) -> int:
     t0 = time.perf_counter()
     if args.kl is not None:
         k_l = _parse_kl(args.kl)
-        record = abstract(net, ds.inputs, k_l, seed=args.seed, epsilon_norm=args.epsilon_norm)
+        record = abstract(net, ds.inputs, k_l, seed=args.seed)
     else:
         if args.holdout:
             train_part, val_part = split_dataset(ds, args.val_fraction, args.seed)
         else:
             train_part, val_part = ds, ds
         X = {"train": train_part.inputs, "val": val_part.inputs, "all": ds.inputs}[args.x_source]
-        record = search_abstraction(
-            net, train_part, args.alpha, seed=args.seed, epsilon_norm=args.epsilon_norm,
-            val=val_part, X=X,
-        )
+        record = search_abstraction(net, train_part, args.alpha, seed=args.seed, val=val_part, X=X)
         k_l = record.k_l
     abstract_s = time.perf_counter() - t0
 
@@ -256,7 +253,6 @@ def cmd_abstract(args) -> int:
             "accuracy_abstract": acc_abs,
             "accuracy_drop": acc_orig - acc_abs,
             "epsilon_max_per_layer": _epsilon_maxima(record),
-            "epsilon_norm": args.epsilon_norm,
             "alpha": args.alpha,
             "seed": args.seed,
             "x_source": args.x_source if args.alpha is not None else "all",
@@ -373,7 +369,7 @@ def cmd_bench(args) -> int:
     n = _clamped_count(args.count, len(ds), "inputs")
     run = abstract_verify_lift(
         net, ds, args.alpha, ds.inputs[:n], delta, seed=args.seed,
-        epsilon_norm=args.epsilon_norm, val_fraction=args.val_fraction, timeout_s=args.timeout_s,
+        val_fraction=args.val_fraction, timeout_s=args.timeout_s,
     )
     if args.record_out:
         run.record.save(args.record_out)
@@ -408,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="accuracy floor; searches cluster counts per layer")
     p.add_argument("--kl", help="explicit cluster counts per hidden layer, e.g. 2:80,3:77")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon-norm", choices=("l2", "linf"), default="l2")
+    p.add_argument("--epsilon-norm", choices=("linf",), help="accepted for older scripts")
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument(
         "--x-source",
@@ -454,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100, help="number of query images")
     p.add_argument("--timeout-s", type=float, default=None, help="stop issuing queries after this")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon-norm", choices=("l2", "linf"), default="l2")
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--record-out", help="also save the abstraction record here")
     p.set_defaults(func=cmd_bench)

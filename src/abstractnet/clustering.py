@@ -3,8 +3,9 @@
 Neurons are points in R^n: one row of an activation matrix per neuron, one
 column per input. Lloyd's algorithm with k-means++ seeding groups I/O-similar
 neurons; each cluster elects the member closest to its centroid as the
-representative, and every member gets an epsilon measuring how far its
-activation row lies from the representative's.
+representative, and every member gets an epsilon: the largest gap between
+its activation and the representative's over the inputs, which is the
+per-neuron quantity the abstraction's error bound needs.
 """
 
 from __future__ import annotations
@@ -16,9 +17,26 @@ import numpy as np
 from .data import ActivationMatrix
 from .errors import AbstractnetError, ValidationError, check_int, seeded_rng
 
-EPSILON_NORMS = ("l2", "linf")
-
 KMEANS_MAX_ITER = 300
+
+
+def _cluster_map(n: int, clusters, representatives) -> np.ndarray:
+    """Neuron -> cluster index, for clusters that partition the n neurons.
+
+    Raises ValidationError unless ``clusters`` partition range(n) and each
+    cluster's representative is one of its members.
+    """
+    members = [i for c in clusters for i in c]
+    if sorted(members) != list(range(n)):
+        raise ValidationError("clusters must partition the layer's neuron indices")
+    if len(representatives) != len(clusters):
+        raise ValidationError("one representative per cluster required")
+    for rep, cluster in zip(representatives, clusters):
+        if rep not in cluster:
+            raise ValidationError(f"representative {rep} is not a member of its cluster")
+    cluster_of = np.empty(n, dtype=np.int64)
+    cluster_of[members] = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+    return cluster_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,10 +45,11 @@ class LayerClustering:
 
     ``clusters[c]`` lists member neuron indices (sorted); ``representatives[c]``
     is a member of cluster c. Clusters are ordered by representative index, which
-    is also the neuron order of the merged layer. ``epsilons[i]`` is the distance
-    from neuron i's activation row to its representative's row (0 at the
-    representative itself). Construction reads the partition once into a
-    read-only neuron -> cluster array, which every per-cluster view uses.
+    is also the neuron order of the merged layer. ``epsilons[i]`` bounds how far
+    neuron i's activation lies from its representative's (0 at the
+    representative itself); :func:`cluster_layer` records the largest gap over
+    the activation-collection inputs. Construction reads the partition once
+    into a read-only neuron -> cluster array, which every per-cluster view uses.
     """
 
     layer: int
@@ -42,22 +61,11 @@ class LayerClustering:
     def __post_init__(self):
         eps = np.asarray(self.epsilons, dtype=np.float64)
         object.__setattr__(self, "epsilons", eps)
-        n = eps.shape[0]
-        members = [i for c in self.clusters for i in c]
-        if sorted(members) != list(range(n)):
-            raise ValidationError("clusters must partition the layer's neuron indices")
-        if len(self.representatives) != len(self.clusters):
-            raise ValidationError("one representative per cluster required")
-        for rep, cluster in zip(self.representatives, self.clusters):
-            if rep not in cluster:
-                raise ValidationError(f"representative {rep} is not a member of its cluster")
+        cluster_of = _cluster_map(eps.shape[0], self.clusters, self.representatives)
         if list(self.representatives) != sorted(self.representatives):
             raise ValidationError("clusters must be ordered by representative index")
         if not np.all(np.isfinite(eps)) or np.any(eps < 0):
             raise ValidationError("epsilons must be finite and non-negative")
-        cluster_of = np.empty(n, dtype=np.int64)
-        sizes = [len(c) for c in self.clusters]
-        cluster_of[members] = np.repeat(np.arange(self.num_clusters), sizes)
         cluster_of.setflags(write=False)
         object.__setattr__(self, "_cluster_of", cluster_of)
 
@@ -249,26 +257,25 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
     return [rows.tolist() for rows in _members(assign, k)]
 
 
-def epsilon_vector(points: np.ndarray, clusters, representatives, norm: str = "l2") -> np.ndarray:
-    """Distance of each neuron's activation row to its representative's row.
+def epsilon_vector(points: np.ndarray, clusters, representatives) -> np.ndarray:
+    """Largest gap of each neuron's activation row to its representative's row.
 
-    "l2" is the Euclidean norm over the input columns; "linf" the max absolute
-    coordinate gap (never larger, so downstream bounds only tighten).
+    Row i of ``points`` is neuron i's activation over the inputs, so entry m is
+    max over the inputs x of |a_m(x) - a_rep(x)| (0 at a representative).
+    ``clusters`` must partition the rows, with each cluster's representative
+    one of its members; otherwise ValidationError. Only the merged-away rows
+    are compared, so no full-size temporary is built when few neurons merge.
     """
-    if norm not in EPSILON_NORMS:
-        raise ValidationError(f"norm must be one of {EPSILON_NORMS}, got {norm!r}")
     points = np.asarray(points, dtype=np.float64)
-    eps = np.zeros(points.shape[0], dtype=np.float64)
-    for members, rep in zip(clusters, representatives):
-        for m in members:
-            gap = points[m] - points[rep]
-            eps[m] = np.linalg.norm(gap) if norm == "l2" else np.max(np.abs(gap), initial=0.0)
+    cluster_of = _cluster_map(points.shape[0], clusters, representatives)
+    rep_of = np.asarray(representatives, dtype=np.int64)[cluster_of]
+    others = np.flatnonzero(rep_of != np.arange(rep_of.size))
+    eps = np.zeros(rep_of.size)
+    eps[others] = np.abs(points[others] - points[rep_of[others]]).max(axis=1, initial=0.0)
     return eps
 
 
-def cluster_layer(
-    act: ActivationMatrix, k: int, seed: int | KMeansSeeding = 0, norm: str = "l2"
-) -> LayerClustering:
+def cluster_layer(act: ActivationMatrix, k: int, seed: int | KMeansSeeding = 0) -> LayerClustering:
     """Cluster one layer's activation rows and package the result.
 
     ``seed`` is passed to :func:`kmeans`: an int, or a seeding drawn on ``act.values``.
@@ -286,5 +293,5 @@ def cluster_layer(
     by_rep = np.argsort(reps)
     clusters = tuple(tuple(raw[c]) for c in by_rep)
     reps = tuple(reps[by_rep].tolist())
-    eps = epsilon_vector(points, clusters, reps, norm=norm)
+    eps = epsilon_vector(points, clusters, reps)
     return LayerClustering(layer=act.layer, clusters=clusters, representatives=reps, epsilons=eps)

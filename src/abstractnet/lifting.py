@@ -10,13 +10,15 @@ signs would let a +w/-w pair cancel to zero and erase the slack, so the split
 happens per member column. This module builds that lift operator from a
 record; the loop itself is :func:`abstractnet.verifier._interval_pass`.
 
-The radius of a cluster is the larger of two numbers. The recorded epsilon is
-measured on the activation-collection input set X. The box epsilon bounds, by
-interval arithmetic over the previous layer's widened interval, how far any
-member's pre-activation can move from its representative's inside the query
-box. ReLU is monotone and 1-Lipschitz, so by induction every original neuron's
-interval bound lies inside its cluster's widened interval, at query points on
-or off X. Exact duplicates have box epsilon 0.
+The radius of a cluster is its box epsilon: an interval-arithmetic bound,
+over the previous layer's widened interval, on how far any member's
+pre-activation can move from its representative's inside the query box. ReLU
+is monotone and 1-Lipschitz, so by induction every original neuron's interval
+bound lies inside its cluster's widened interval, at query points on or off
+the activation-collection set X. Exact duplicates have box epsilon 0. The
+epsilons a record stores are measured on X alone, so they add no soundness
+off X; the lift does not read them, and they feed only the error bound of
+:mod:`abstractnet.bounds` and the reports.
 
 The module also holds the one abstract -> verify -> lift run behind the
 ``bench`` command and :func:`pipeline`, and the report both print.
@@ -45,24 +47,11 @@ log = logging.getLogger(__name__)
 BENCH_BATCH = 100
 
 EPSILON_SCOPE_NOTE = (
-    "recorded epsilons are measured on the activation-collection input set; "
-    "lifted bounds widen each merged cluster by the larger of that epsilon and "
-    "an interval bound on its members' drift over the query box, so lifted "
-    "verdicts also hold at inputs outside the set"
+    "recorded epsilons are the largest activation gaps measured on the "
+    "activation-collection input set, and lifted bounds do not use them: the "
+    "lift widens each merged cluster by an interval bound on its members' drift "
+    "over the query box, so lifted verdicts also hold at inputs outside the set"
 )
-
-
-@dataclass(frozen=True, eq=False)
-class _LiftOperator:
-    """One interval step per layer and the recorded epsilons (abstract-indexed, 1..L).
-
-    A step's weights are the original's, sign-split, summed per source cluster
-    and restricted to the representatives' rows; its members are the other
-    neurons of the destination layer.
-    """
-
-    steps: tuple[_IntervalStep, ...]
-    epsilons: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,18 +61,24 @@ class LiftedBounds(LayerBounds):
     ``lower`` and ``upper`` follow the abstract network. ``widening`` holds one
     abstract-indexed entry per layer 1..L: every original neuron's interval
     bound lies inside ``[lower - widening, upper + widening]`` of its cluster.
-    For a batch, an entry is one row per query where the lift added a box
-    epsilon, and the shared (width,) vector where it did not.
+    An entry is zero at a layer without merged-away members. For a batch, an
+    entry is one row per query where the lift widened, and one shared zero
+    (width,) vector where it did not.
     """
 
     widening: tuple[np.ndarray, ...] = ()
 
 
-def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
-    """Everything the lift needs from a record, built once; records are immutable."""
-    op = record._memo.get("lift")
-    if op is not None:
-        return op
+def _lift_operator(record: AbstractionRecord) -> tuple[_IntervalStep, ...]:
+    """The lift's interval step per layer, built once per record; records are immutable.
+
+    A step's weights are the original's, sign-split, summed per source cluster
+    and restricted to the representatives' rows; its members are the other
+    neurons of the destination layer.
+    """
+    steps = record._memo.get("lift")
+    if steps is not None:
+        return steps
     orig = record.original_net
     layers = record.layers
     steps = []
@@ -104,11 +99,8 @@ def _lift_operator(record: AbstractionRecord) -> _LiftOperator:
             )
         reps = list(dst.representatives)
         steps.append(_IntervalStep(wp[reps, :], wn[reps, :], b_abs, **members))
-    epsilons = record.layer_epsilons()
-    for e in epsilons:
-        e.setflags(write=False)  # returned as widening where nothing is added
-    op = record._memo["lift"] = _LiftOperator(tuple(steps), epsilons)
-    return op
+    steps = record._memo["lift"] = tuple(steps)
+    return steps
 
 
 def lifted_bounds(record: AbstractionRecord, x, delta) -> LiftedBounds:
@@ -116,21 +108,20 @@ def lifted_bounds(record: AbstractionRecord, x, delta) -> LiftedBounds:
 
     ``x`` and ``delta`` are taken as by :func:`ibp_bounds`: one query (d,) or
     a batch (n, d). Shapes follow the abstract network. At each merged layer
-    the interval of every cluster is widened by max(recorded epsilon, box
-    epsilon), where the box epsilon bounds |(W_m - W_rep) a + (b_m - b_rep)|
-    over the members m and over the previous layer's widened interval a. The
-    widening applied at each layer is returned as ``widening`` (one
-    abstract-indexed entry per layer 1..L), and every original neuron's
-    interval bound over the box lies inside its cluster's
-    ``[lower - widening, upper + widening]``. Larger recorded epsilons only
-    widen the bounds.
+    the interval of every cluster is widened by its box epsilon, which bounds
+    |(W_m - W_rep) a + (b_m - b_rep)| over the members m and over the previous
+    layer's widened interval a. The widening applied at each layer is returned
+    as ``widening`` (one abstract-indexed entry per layer 1..L), and every
+    original neuron's interval bound over the box lies inside its cluster's
+    ``[lower - widening, upper + widening]``. The recorded epsilons are not
+    read: the bounds are a function of the networks and the box alone.
     """
     abstract_net = record.abstract_net
     lo, up = _box(abstract_net, x, delta)
-    op = _lift_operator(record)
     lows, ups, widening = _interval_pass(
-        op.steps, abstract_net.output_activation == "relu", lo, up, op.epsilons
+        _lift_operator(record), abstract_net.output_activation == "relu", lo, up
     )
+    widening = (np.zeros(u.shape[-1]) if e is None else e for u, e in zip(ups, widening))
     return LiftedBounds(tuple(lows), tuple(ups), tuple(widening))
 
 
@@ -232,7 +223,6 @@ def abstract_verify_lift(
     X,
     delta,
     seed: int = 0,
-    epsilon_norm: str = "l2",
     val_fraction: float = 0.2,
     timeout_s: float | None = None,
 ) -> PipelineRun:
@@ -251,9 +241,7 @@ def abstract_verify_lift(
     d = _as_delta(delta, X.shape)
     t_start = time.perf_counter()
     train_part, val_part = split_dataset(ds, val_fraction, seed)
-    record = search_abstraction(
-        net, train_part, alpha, seed=seed, epsilon_norm=epsilon_norm, val=val_part
-    )
+    record = search_abstraction(net, train_part, alpha, seed=seed, val=val_part)
     timings = {
         "abstract_s": time.perf_counter() - t_start,
         "original_verify_s": 0.0,
@@ -336,7 +324,6 @@ def pipeline(
     alpha: float,
     queries,
     seed: int = 0,
-    epsilon_norm: str = "l2",
 ) -> dict:
     """Abstract, verify, and lift in one pass; returns a JSON-ready report.
 
@@ -348,5 +335,5 @@ def pipeline(
     width = net.layer_sizes[0]
     points = np.array([net._check_input(q.x) for q in queries]).reshape(len(queries), width)
     deltas = np.array([q.delta for q in queries], dtype=np.float64).reshape(points.shape)
-    run = abstract_verify_lift(net, ds, alpha, points, deltas, seed, epsilon_norm)
+    run = abstract_verify_lift(net, ds, alpha, points, deltas, seed)
     return run_report(run)

@@ -85,16 +85,15 @@ class _IntervalStep:
     owner: np.ndarray | None = None
 
 
-def _interval_pass(steps, relu_output: bool, lo, up, epsilons):
+def _interval_pass(steps, relu_output: bool, lo, up):
     """Lower, upper and widening per layer, from the box [lo, up] through ``steps``.
 
-    ``epsilons`` gives each layer's widening, input first (None: not widened).
-    A layer's interval is widened before it feeds the next layer, and the
-    widening of a layer with merged-away members is raised, per cluster, to
-    the interval bound of |(W_m - W_rep) a + (b_m - b_rep)| over the widened
-    input a.
+    A layer is widened (None: not widened) only where it has merged-away
+    members: per cluster, by the interval bound of
+    |(W_m - W_rep) a + (b_m - b_rep)| over the members m and over the widened
+    input a. A layer's interval is widened before it feeds the next layer.
     """
-    lows, ups, widening = [lo], [up], [epsilons[0]]
+    lows, ups, widening = [lo], [up], [None]
     last = len(steps) - 1
     for j, step in enumerate(steps):
         e = widening[-1]
@@ -104,12 +103,12 @@ def _interval_pass(steps, relu_output: bool, lo, up, epsilons):
         if j < last or relu_output:
             new_up = np.maximum(new_up, 0.0)
             new_lo = np.maximum(new_lo, 0.0)
-        e = epsilons[j + 1]
+        e = None
         if step.owner is not None:
             gap_up = hi @ step.dp.T + lo @ step.dn.T + step.db
             gap_lo = lo @ step.dp.T + hi @ step.dn.T + step.db
             gap = np.maximum(np.abs(gap_up), np.abs(gap_lo))
-            e = np.broadcast_to(e, new_up.shape).copy()
+            e = np.zeros(new_up.shape)
             np.maximum.at(e.T, step.owner, gap.T)
         lows.append(new_lo)
         ups.append(new_up)
@@ -130,7 +129,7 @@ def ibp_bounds(net: Network, x, delta) -> LayerBounds:
         for w, b in zip(net.weights, net.biases)
     ]
     relu_output = net.output_activation == "relu"
-    lows, ups, _ = _interval_pass(steps, relu_output, lo, up, (None,) * net.num_layers)
+    lows, ups, _ = _interval_pass(steps, relu_output, lo, up)
     return LayerBounds(tuple(lows), tuple(ups))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 
 from abstractnet import LabeledDataset, Network, TrainingError, init_network, split_dataset
 from abstractnet.abstraction import AbstractionRecord, _fingerprint
-from abstractnet.clustering import KMEANS_MAX_ITER, LayerClustering, epsilon_vector
+from abstractnet.clustering import KMEANS_MAX_ITER, LayerClustering
 from abstractnet.network import _forward_layers
 from abstractnet.synthetic import TEMPLATES, _shift
 from abstractnet.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
@@ -37,7 +37,7 @@ def toy_record(e: float = 0.0) -> AbstractionRecord:
     c2 = LayerClustering(2, ((0,), (1,)), (0, 1), (0.0, 0.0))
     c3 = LayerClustering(3, ((0, 1),), (0,), (0.0, float(e)))
     X = np.array([[1.0, 1.0], [0.5, -0.5]])
-    return AbstractionRecord(original, (c2, c3), 0, "l2", _fingerprint(X), X.shape[0])
+    return AbstractionRecord(original, (c2, c3), 0, _fingerprint(X), X.shape[0])
 
 
 def merge_one_cluster(net: Network, layer: int, members) -> Network:
@@ -140,16 +140,20 @@ def reference_pick_representative(members, points):
     return members[int(np.argmin(d2))]
 
 
-def reference_cluster_layer(points, raw_clusters, norm="l2"):
-    """(clusters, representatives, epsilons) as cluster_layer built them from
-    the k-means clusters ``raw_clusters``, one cluster at a time."""
+def reference_cluster_layer(points, raw_clusters):
+    """(clusters, representatives, epsilons) as cluster_layer builds them from
+    the k-means clusters ``raw_clusters``, one cluster and one member at a time."""
     paired = sorted(
         (reference_pick_representative(members, points), tuple(members))
         for members in raw_clusters
     )
     reps = tuple(rep for rep, _ in paired)
     clusters = tuple(members for _, members in paired)
-    return clusters, reps, epsilon_vector(points, clusters, reps, norm=norm)
+    eps = np.zeros(points.shape[0])
+    for rep, members in paired:
+        for m in members:
+            eps[m] = np.max(np.abs(points[m] - points[rep]), initial=0.0)
+    return clusters, reps, eps
 
 
 # Reference trainer and digit generator written the plain way: one update per

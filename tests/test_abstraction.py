@@ -165,14 +165,14 @@ def test_epsilons_measured_on_partially_merged_network():
     X = np.array([[1.0], [2.0]])
     record = abstract(net, X, k_l={2: 1, 3: 1}, seed=0)
     # merged layer 2 rep is neuron 0, so layer-3 rows over X become
-    # (1, 2) and (2, 4); distance between them is sqrt(5)
+    # (1, 2) and (2, 4); their largest gap is 2
     cl3 = record.clustering_for(3)
     assert cl3.clusters == ((0, 1),)
     rep = cl3.representatives[0]
     other = 1 - rep
-    assert cl3.epsilons[other] == pytest.approx(np.sqrt(5.0), rel=1e-12)
-    # the original network would have given sqrt(7.2) instead
-    assert cl3.epsilons[other] != pytest.approx(np.sqrt(7.2), rel=1e-6)
+    assert cl3.epsilons[other] == pytest.approx(2.0, rel=1e-12)
+    # the original network's rows (1, 2) and (2.2, 4.4) would have given 2.4
+    assert cl3.epsilons[other] != pytest.approx(2.4, rel=1e-6)
 
 
 def test_abstract_is_seed_deterministic():
@@ -221,7 +221,7 @@ def test_record_json_round_trip():
         assert a.clusters == b.clusters
         assert a.representatives == b.representatives
         assert np.array_equal(a.epsilons, b.epsilons)
-    assert back.epsilon_norm == record.epsilon_norm
+    assert (back.seed, back.num_inputs) == (record.seed, record.num_inputs)
     assert back.input_fingerprint == record.input_fingerprint
 
 
@@ -236,7 +236,7 @@ def test_record_json_bytes_are_pinned():
         '1.0]], "bias": [5.0, 0.0]}], "output_activation": "identity"}, "layers": [{"layer": '
         '2, "clusters": [[0], [1]], "representatives": [0, 1], "epsilon": [0.0, 0.0]}, '
         '{"layer": 3, "clusters": [[0, 1]], "representatives": [0], "epsilon": [0.0, '
-        '0.25]}], "provenance": {"k_l": {"2": 2, "3": 1}, "seed": 0, "epsilon_norm": "l2", '
+        '0.25]}], "provenance": {"k_l": {"2": 2, "3": 1}, "seed": 0, '
         '"input_fingerprint": '
         '"sha256:bc4a99bf0583c9b2ca22ff043820c4a78cb0c9099abe8a7ae350e00d601503a7", '
         '"num_inputs": 2}}'
@@ -286,8 +286,11 @@ def test_record_from_json_errors():
         lambda doc: doc["provenance"].__setitem__("num_inputs", -3),
         lambda doc: doc["provenance"].__setitem__("num_inputs", 2.0),
         lambda doc: doc["provenance"].__setitem__("num_inputs", False),
-        lambda doc: doc["provenance"].__setitem__("epsilon_norm", "l3"),
-        lambda doc: doc["provenance"].__setitem__("epsilon_norm", 5),
+        # a record that names its epsilon norm predates the one epsilon, and may hold l2 ones
+        *(
+            lambda doc, v=v: doc["provenance"].__setitem__("epsilon_norm", v)
+            for v in ("l2", "linf", "l3", 5)
+        ),
         lambda doc: doc["provenance"]["k_l"].__setitem__("3", 2),
         lambda doc: doc["provenance"]["k_l"].__setitem__("3", True),
         lambda doc: doc["provenance"]["k_l"].__setitem__("4", 1),
@@ -299,7 +302,7 @@ def test_record_from_json_errors():
         with pytest.raises(FormatError):
             AbstractionRecord.from_json(json.dumps(doc))
     # the unedited document, and each field at another valid value, still load
-    for field, value in (("seed", 7), ("num_inputs", 0), ("epsilon_norm", "linf")):
+    for field, value in (("seed", 7), ("num_inputs", 0)):
         doc = json.loads(json.dumps(good))
         doc["provenance"][field] = value
         assert getattr(AbstractionRecord.from_json(json.dumps(doc)), field) == value
@@ -407,12 +410,11 @@ def test_search_record_equals_abstract_at_its_k_l():
         net = random_network(rng)
         X = rng.normal(size=(int(rng.integers(8, 40)), net.layer_sizes[0]))
         ds = LabeledDataset(X, np.asarray(net.classify(X)))
-        norm = ("l2", "linf")[trial % 2]
         alpha = float(rng.uniform(0.3, 0.95))
-        record = search_abstraction(net, ds, alpha, seed=trial, epsilon_norm=norm, val=ds)
-        again = abstract(net, X, record.k_l, seed=trial, epsilon_norm=norm)
+        record = search_abstraction(net, ds, alpha, seed=trial, val=ds)
+        again = abstract(net, X, record.k_l, seed=trial)
         assert record.to_json() == again.to_json()
-        assert record.k_l == identify_clusters(net, ds, alpha, trial, norm, val=ds)
+        assert record.k_l == identify_clusters(net, ds, alpha, trial, val=ds)
         merged += reduction_rate(record) > 0
     assert merged >= 60
 
@@ -429,22 +431,20 @@ def integer_search_case():
 
 
 def test_search_record_bytes_are_pinned():
-    # the records this seeded search writes, both norms; a change to k-means,
-    # its seeding or the search that moves any byte fails here, even when
-    # abstract() moves with it
+    # the record this seeded search writes; a change to k-means, its seeding or
+    # the search that moves any byte fails here, even when abstract() moves
+    # with it. The digests are those of the record and the merged net written
+    # when a record also named its epsilon norm, under "linf" with that one
+    # provenance entry removed.
     net, ds, val = integer_search_case()
-    digest, merged_digest = hashlib.sha256(), hashlib.sha256()
-    for norm in ("l2", "linf"):
-        record = search_abstraction(net, ds, 0.9, seed=3, epsilon_norm=norm, val=val)
-        assert record.k_l == {2: 7, 3: 6}
-        digest.update(record.to_json().encode())
-        merged_digest.update(record.abstract_net.to_json().encode())
-    assert digest.hexdigest() == (
-        "a574d0ffec1c7369d28f40f70199147ba8add0c260a498ec16887f1c0ff3a81b"
+    record = search_abstraction(net, ds, 0.9, seed=3, val=val)
+    assert record.k_l == {2: 7, 3: 6}
+    assert hashlib.sha256(record.to_json().encode()).hexdigest() == (
+        "ee92f7b5c358810eb1b3f2683f9e37ab69e4d13d30cd09ce41c8afc8d4158841"
     )
-    # the merged networks those records derive, which no record file stores
-    assert merged_digest.hexdigest() == (
-        "8f21cf8c3350435dedd9352bb0741b82ed97f80d657bcff74161c6139f9131ea"
+    # the merged network the record derives, which no record file stores
+    assert hashlib.sha256(record.abstract_net.to_json().encode()).hexdigest() == (
+        "b2ad82bbc07bd64be3dbf1c2c57dbe8a18ef574230914dc2c261f8d10849384b"
     )
 
 
@@ -462,16 +462,14 @@ def float_search_case():
 def test_float_search_record_bytes_are_pinned():
     # Gram-matrix arithmetic is exact on integer activations, so the integer
     # case above cannot see a change to k-means that moves real-valued bytes;
-    # this digest is that of the records written by row-by-row seeding
-    # distances and a Lloyd loop run one cluster at a time
+    # this digest is that of the record written by row-by-row seeding
+    # distances and a Lloyd loop run one cluster at a time (the "linf" record
+    # of that code, with its epsilon_norm provenance entry removed)
     net, ds, val = float_search_case()
-    digest = hashlib.sha256()
-    for norm in ("l2", "linf"):
-        record = search_abstraction(net, ds, 0.8, seed=4, epsilon_norm=norm, val=val)
-        assert record.k_l == {2: 19, 3: 11}
-        digest.update(record.to_json().encode())
-    assert digest.hexdigest() == (
-        "751d19f6355cbd71556168fdd4e7cbfd9b87be1d94103da43d16d67975d0b1d2"
+    record = search_abstraction(net, ds, 0.8, seed=4, val=val)
+    assert record.k_l == {2: 19, 3: 11}
+    assert hashlib.sha256(record.to_json().encode()).hexdigest() == (
+        "fb5c4d91170616463e441ce48a6bfa779edaa53953eafbc8ef3060db0fa6e3b1"
     )
 
 

@@ -64,7 +64,7 @@ def test_error_recurrence_uses_original_weights():
     record = abstract(net, X, k_l={2: 1}, seed=0)
     assert record.abstract_net.weights[1].tolist() == [[0.0]]
     eps = record.clustering_for(2).epsilons.max()
-    assert eps == pytest.approx(np.sqrt(0.2))
+    assert eps == pytest.approx(0.4)  # rows (1, 2) and (1.2, 2.4) over X: largest gap 0.4
     assert clustering_error(record).output[0] == pytest.approx(eps)
     # the abstract net itself is constant, so perturbation adds nothing
     assert total_error(record, 10.0)[0] == pytest.approx(eps)

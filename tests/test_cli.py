@@ -71,6 +71,7 @@ def test_abstract_report_and_record(workdir):
     assert report["epsilon_max_per_layer"][1] > 0.0
     assert report["epsilon_max_per_layer"][2] == 0.0
     assert "epsilon_scope" in report["notes"]
+    assert "epsilon_norm" not in report
     record = AbstractionRecord.load(d / "record.json")
     assert record.abstract_net.layer_sizes == (64, 4, 10)
 
@@ -89,8 +90,7 @@ def test_alpha_record_equals_kl_record(workdir, tmp_path):
     # with --x-source all --no-holdout the search collects activations on the
     # same rows as --kl, so the record it built is the --kl record at its k_l
     d, train_report, _ = workdir
-    base = ["abstract", "--net", str(d / "net.json"), *SYNTH, "--seed", "3",
-            "--epsilon-norm", "linf"]
+    base = ["abstract", "--net", str(d / "net.json"), *SYNTH, "--seed", "3"]
     alpha = str(train_report["accuracy"] - 0.05)
     rc, out, _ = run_cli([*base, "--alpha", alpha, "--x-source", "all", "--no-holdout",
                           "--out", str(tmp_path / "alpha.json")])
@@ -101,6 +101,24 @@ def test_alpha_record_equals_kl_record(workdir, tmp_path):
     rc, _, _ = run_cli([*base, "--kl", kl, "--out", str(tmp_path / "kl.json")])
     assert rc == 0
     assert (tmp_path / "alpha.json").read_bytes() == (tmp_path / "kl.json").read_bytes()
+
+
+def test_epsilon_norm_flag_accepts_only_linf(workdir, tmp_path):
+    # the one epsilon is the largest gap over X; --epsilon-norm linf names it
+    # and changes nothing, and no other norm is accepted
+    d, _, _ = workdir
+    base = ["abstract", "--net", str(d / "net.json"), *SYNTH, "--kl", "2:4", "--seed", "0"]
+    outputs = []
+    for name, flag in (("plain", []), ("linf", ["--epsilon-norm", "linf"])):
+        rc, out, _ = run_cli([*base, *flag, "--out", str(tmp_path / f"{name}.json")])
+        assert rc == 0
+        report = strip_timings(json.loads(out))
+        report.pop("out")
+        outputs.append((report, (tmp_path / f"{name}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*base, "--epsilon-norm", "l2"])
+    assert exc.value.code == 2
 
 
 def test_verify_emits_one_json_line_per_query(workdir):
@@ -298,6 +316,24 @@ def test_record_with_bad_provenance_exits_2(workdir, tmp_path, field, value):
     rc, _, err = run_cli(["lift", "--record", str(bad), *SYNTH, "--delta", "0", "--count", "2"])
     assert rc == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_record_naming_an_epsilon_norm_exits_2(workdir, tmp_path, norm):
+    # a record written when records named their epsilon norm may hold l2
+    # distances, which are not the largest gaps over X: it is not read
+    d, _, _ = workdir
+    doc = json.loads((d / "record.json").read_text())
+    doc["provenance"]["epsilon_norm"] = norm
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="epsilon_norm"):
+        AbstractionRecord.load(old)
+    for argv in (["lift", "--record", str(old), "--count", "2"],
+                 ["verify", "--record", str(old), "--count", "2"]):
+        rc, out, err = run_cli([*argv, *SYNTH, "--delta", "0"])
+        assert (rc, out) == (2, "")
+        assert "epsilon_norm" in err and "Traceback" not in err
 
 
 def test_bench_deterministic_modulo_timings(workdir):
@@ -529,19 +565,21 @@ def workflow_digests(d):
     return digests
 
 
-# computed with the code as it stood before seeds, counts and radii were each
-# checked in one place; that change promised to alter no output byte
+# The record files are byte for byte those written when records named their
+# epsilon norm, under "linf" with that one provenance entry removed. The
+# reports differ from that code's "linf" reports only in the epsilon_scope
+# note and the abstract report's dropped "epsilon_norm" key.
 PINNED_WORKFLOW = {
     "train": "c27b33f2cb873c411096f1f44ed539bb022561829bf3a60e06ba367a17ba794b",
-    "abstract --alpha": "9888b508bf144df013aaf22540628eaeb8891b046badcae05c16c8feceb665c4",
-    "abstract --kl": "bfbb1deed243d6fb5b2dd0951b9e5f607f7893a87807e5ec75f6a36de7eca224",
+    "abstract --alpha": "42458b2e7992e69795f010b3a2216efdf914114b5fff52fc87474c821759af9a",
+    "abstract --kl": "514c347f45e7a35bdc389840b9fc43f908aebc8a283fa8228e7a3700f767724a",
     "verify --falsify": "112895861ac6eef64b8dd2070fe5cfdbb51767d143a870f27878ea8f9edd431b",
-    "lift": "397fddf6fc8c417849a8418408d757c927579310b6f71e77f5f46ed4c6e3710f",
-    "bench": "8c3380f00a6ebdc173d4c64cd10ecf3c40d72b4427a0e04507464313a326b28a",
+    "lift": "d846ef7e468b9d8f68a2f68f9f319944470cba7dfd3aed476142e61605c40e5f",
+    "bench": "971d16ea57035128c2d8b598f69f3ddfe61480f097703f967c794605bcab442d",
     "net.json": "6e09833ad0526d68a1f5ed91ac82cd6b48e159e514171f4e213bf6eabb2a5bbe",
-    "alpha.json": "5bf0f5042d671511aa3f581a2b3b5e5174da4a839fef1362a4dc9fbadebb16d9",
-    "kl.json": "847df94ee49839d7b04ce4cad276532acd8a2c70b193bde377bc15bccdba17fd",
-    "bench.json": "5bf0f5042d671511aa3f581a2b3b5e5174da4a839fef1362a4dc9fbadebb16d9",
+    "alpha.json": "4b12429a3095f97de749df7706624b27c49f762c1af482a374e07d000a76757a",
+    "kl.json": "fd5f0c868372470af07e56073b965eacffebf8c93b6e28e65ee09ec6ec2086bb",
+    "bench.json": "4b12429a3095f97de749df7706624b27c49f762c1af482a374e07d000a76757a",
 }
 
 

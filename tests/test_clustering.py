@@ -169,18 +169,17 @@ def test_gram_seeding_matches_direct_draws():
 
 
 def test_kmeans_and_cluster_layer_match_reference():
-    # identical clusters, representatives and epsilons to the loop written one
-    # cluster at a time, including k past the distinct row count, where
-    # duplicate centres leave clusters empty and the repair runs
+    # identical clusters, representatives and epsilons to the loops written one
+    # cluster (and one member) at a time, including k past the distinct row
+    # count, where duplicate centres leave clusters empty and the repair runs
     for points, seed, ks in oracle_cases():
         act = ActivationMatrix(layer=2, values=points)
         seeding = KMeansSeeding(points, seed)
         for k in ks:
             raw = reference_kmeans(points, k, seed)
             assert kmeans(points, k, seed=seed) == raw
-            norm = ("l2", "linf")[k % 2]
-            clusters, reps, eps = reference_cluster_layer(points, raw, norm)
-            lc = cluster_layer(act, k, seed=seeding, norm=norm)
+            clusters, reps, eps = reference_cluster_layer(points, raw)
+            lc = cluster_layer(act, k, seed=seeding)
             assert lc.clusters == clusters and lc.representatives == reps
             assert np.array_equal(lc.epsilons, eps)
 
@@ -246,27 +245,13 @@ def test_pick_representative_tie_takes_lowest_index():
 
 
 def test_epsilon_vector_euclidean_golden():
-    points = np.array([[0.0, 0.0], [3.0, 4.0]])
-    eps = epsilon_vector(points, [(0, 1)], [0], norm="l2")
-    assert np.array_equal(eps, np.array([0.0, 5.0]))
-    eps_inf = epsilon_vector(points, [(0, 1)], [0], norm="linf")
-    assert np.array_equal(eps_inf, np.array([0.0, 4.0]))
-
-
-def test_epsilon_linf_never_exceeds_l2():
-    rng = np.random.default_rng(3)
-    points = rng.normal(size=(10, 6))
-    clusters = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
-    reps = [2, 7]
-    l2 = epsilon_vector(points, clusters, reps, norm="l2")
-    linf = epsilon_vector(points, clusters, reps, norm="linf")
-    assert np.all(linf <= l2 + 1e-12)
-    assert l2[2] == 0.0 and l2[7] == 0.0
-
-
-def test_epsilon_vector_rejects_unknown_norm():
-    with pytest.raises(ValidationError):
-        epsilon_vector(np.zeros((1, 1)), [(0,)], [0], norm="l1")
+    # rows 5 apart in Euclidean distance: the recorded epsilon is the largest
+    # gap over the inputs, 4, and 0 at each representative
+    points = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, -2.0]])
+    eps = epsilon_vector(points, [(0, 1), (2,)], [0, 2])
+    assert np.array_equal(eps, np.array([0.0, 4.0, 0.0]))
+    eps = epsilon_vector(points, [(0, 1, 2)], [2])
+    assert np.array_equal(eps, np.array([2.0, 6.0, 0.0]))
 
 
 def test_cluster_layer_end_to_end():
@@ -285,7 +270,7 @@ def test_cluster_layer_end_to_end():
     assert lc.epsilons[2] == 0.0
     assert lc.epsilons[lc.representatives[0]] == 0.0
     other = 1 - lc.representatives[0]
-    assert lc.epsilons[other] == pytest.approx(np.sqrt(0.01 + 0.01))
+    assert lc.epsilons[other] == pytest.approx(0.1)  # the gap in each of the first two columns
 
 
 def test_cluster_layer_orders_by_representative():

@@ -25,23 +25,29 @@ from helpers import random_k_l, random_network, toy_record
 
 
 def test_lifted_toy_goldens():
+    # the merged toy neurons are exact duplicates, so whatever epsilon the
+    # record carries, the lift adds nothing to the abstract net's own bounds
     x = np.zeros(2)
     d = np.ones(2)
     for e in (0.0, 0.1, 1.0):
         bounds = lifted_bounds(toy_record(e), x, d)
-        assert bounds.output_upper == pytest.approx([13 + 2 * e, 4 + e], abs=1e-12)
-        assert bounds.output_lower == pytest.approx([5 - 2 * e, -e], abs=1e-12)
+        assert bounds.output_upper == pytest.approx([13, 4], abs=1e-12)
+        assert bounds.output_lower == pytest.approx([5, 0], abs=1e-12)
 
 
 def test_lifted_verdict_threshold():
-    # robust needs 5 - 2e > 4 + e, i.e. e < 1/3; at e = 1/3 the two bounds
-    # are float-equal and the strict comparison refuses
+    # on the abstract toy net at x = 0, label 0's lower bound is 5 and label
+    # 1's upper bound is 4 delta, so interval proofs hold for delta < 5/4; at
+    # 5/4 the two bounds are float-equal and the strict comparison refuses.
+    # The lift flips at the same point, whatever epsilon the record carries.
     x = np.zeros(2)
-    q = RobustnessQuery(x, 1.0)
-    assert lift_proof(toy_record(0.0), q) is Verdict.ROBUST
-    assert lift_proof(toy_record(0.3), q) is Verdict.ROBUST
-    assert lift_proof(toy_record(1 / 3), q) is Verdict.UNKNOWN
-    assert lift_proof(toy_record(0.5), q) is Verdict.UNKNOWN
+    for e in (0.0, 0.5, 1.0):
+        record = toy_record(e)
+        for delta in (0.5, 1.0, 1.2, 1.24, 1.25, 1.26, 1.3, 2.0):
+            bounds = ibp_bounds(record.abstract_net, x, delta)
+            assert (check_robust(bounds, 0) is Verdict.ROBUST) == (delta < 5 / 4)
+            lifted = lift_proof(record, RobustnessQuery(x, delta))
+            assert (lifted is Verdict.ROBUST) == (delta < 5 / 4)
 
 
 def test_lifted_zero_epsilon_matches_plain_ibp():
@@ -70,7 +76,7 @@ def test_sign_sums_add_up_to_abstract_weights():
         records.append(abstract(net, X, k_l=random_k_l(rng, net), seed=trial))
     for record in records:
         assert _lift_operator(record) is _lift_operator(record)  # built once per record
-        for step, w in zip(_lift_operator(record).steps, record.abstract_net.weights):
+        for step, w in zip(_lift_operator(record), record.abstract_net.weights):
             assert step.wp.shape == w.shape
             assert np.all(step.wp >= 0.0) and np.all(step.wn <= 0.0)
             assert np.allclose(step.wp + step.wn, w, atol=1e-12)
@@ -79,7 +85,10 @@ def test_sign_sums_add_up_to_abstract_weights():
 def test_mixed_sign_members_keep_slack():
     # two merged neurons feed the output with weights +1 and -1: the abstract
     # column sums to zero, but the lifted recurrence splits signs per member,
-    # so the epsilon still widens the output interval
+    # so the members' drift still widens the output interval. At x = 1 they
+    # are 1.0 and 1.2, so the box epsilon is |1.2 - 1.0| * 1 = 0.2 whichever
+    # is the representative, and the output interval is +-2 * 0.2. The
+    # recorded epsilon, the gap 0.4 at x = 2, plays no part.
     net = Network(
         (np.array([[1.0], [1.2]]), np.array([[1.0, -1.0]])),
         (np.zeros(2), np.zeros(1)),
@@ -87,11 +96,11 @@ def test_mixed_sign_members_keep_slack():
     X = np.array([[1.0], [2.0]])
     record = abstract(net, X, k_l={2: 1}, seed=0)
     assert record.abstract_net.weights[1].tolist() == [[0.0]]
-    eps = float(record.clustering_for(2).epsilons.max())
-    assert eps > 0.0
+    assert float(record.clustering_for(2).epsilons.max()) == pytest.approx(0.4)
     bounds = lifted_bounds(record, np.array([1.0]), 0.0)
-    assert bounds.output_upper[0] == pytest.approx(2 * eps)
-    assert bounds.output_lower[0] == pytest.approx(-2 * eps)
+    assert bounds.widening[1] == pytest.approx([0.2])
+    assert bounds.output_upper[0] == pytest.approx(0.4)
+    assert bounds.output_lower[0] == pytest.approx(-0.4)
     # the original output at x sits inside that interval
     y = float(net.forward(np.array([1.0]))[0])
     assert bounds.output_lower[0] - 1e-12 <= y <= bounds.output_upper[0] + 1e-12
@@ -135,8 +144,7 @@ def test_member_coverage_gap_documented():
 def test_widening_tight_at_first_hidden_layer():
     # Layer 2 sees the exact input box, so the box epsilon of member m is
     # |D_m x + db_m| + |D_m| . delta with D_m = W_m - W_rep, db_m = b_m - b_rep;
-    # the lift may widen by no more than the larger of that and the recorded
-    # epsilon
+    # the lift widens each cluster by the largest of those over its members
     rng = np.random.default_rng(41)
     for trial in range(30):
         net = random_network(rng)
@@ -147,7 +155,7 @@ def test_widening_tight_at_first_hidden_layer():
         lb = lifted_bounds(record, x, delta)
         w, b = net.weights[0], net.biases[0]
         cl = record.clustering_for(2)
-        expect = record.layer_epsilons()[1].copy()
+        expect = np.zeros(cl.num_clusters)
         for c, (rep, members) in enumerate(zip(cl.representatives, cl.clusters)):
             for m in members:
                 diff = w[m] - w[rep]
@@ -156,13 +164,19 @@ def test_widening_tight_at_first_hidden_layer():
         np.testing.assert_allclose(lb.widening[1], expect, rtol=1e-12, atol=1e-12)
 
 
-def test_widening_of_exact_duplicates_is_recorded_epsilon():
-    x = np.zeros(2)
+def test_widening_of_exact_duplicates_is_zero():
+    # the toy's merged neurons are exact duplicates with same-sign outgoing
+    # columns: the lift widens by exactly 0, whatever epsilon the record
+    # carries, and its bounds are the abstract net's own interval bounds
+    rng = np.random.default_rng(43)
     for e in (0.0, 0.1, 1 / 3, 1.0):
-        lb = lifted_bounds(toy_record(e), x, np.ones(2))
-        assert lb.widening[2].tolist() == [e]
-        assert [v.tolist() for v in lb.widening[:2]] == [[0.0, 0.0], [0.0, 0.0]]
-        assert lb.widening[3].tolist() == [0.0, 0.0]
+        record = toy_record(e)
+        for x, delta in ((np.zeros(2), np.ones(2)), (rng.normal(size=(4, 2)), 0.3)):
+            lb = lifted_bounds(record, x, delta)
+            assert all(np.all(w == 0.0) for w in lb.widening)
+            plain = ibp_bounds(record.abstract_net, x, delta)
+            for got, want in zip(lb.lower + lb.upper, plain.lower + plain.upper):
+                assert np.array_equal(got, want)
 
 
 def test_lifted_output_bounds_cover_samples_off_collection_set():
@@ -186,27 +200,25 @@ def test_lifted_output_bounds_cover_samples_off_collection_set():
     assert escapes == []
 
 
-def test_lifted_monotone_in_epsilon():
+def test_lifted_bounds_ignore_recorded_epsilon():
+    # the lift is a function of the networks and the box: scaling every
+    # recorded epsilon by 1e6 leaves the lower, upper and widening bit-identical
     rng = np.random.default_rng(37)
-    net = random_network(rng, sizes=(3, 7, 5, 2))
-    X = rng.normal(size=(8, 3))
-    record = abstract(net, X, k_l={2: 4, 3: 3}, seed=1)
-    doubled_record = replace(
-        record,
-        clusterings=tuple(replace(cl, epsilons=2.0 * cl.epsilons) for cl in record.clusterings),
-    )
-    assert all(
-        np.array_equal(d, 2.0 * e)
-        for d, e in zip(doubled_record.layer_epsilons(), record.layer_epsilons())
-    )
-    x = rng.normal(size=3)
-    small = lifted_bounds(record, x, 0.05)
-    doubled = lifted_bounds(doubled_record, x, 0.05)
-    for lo_s, up_s, lo_d, up_d in zip(
-        small.lower, small.upper, doubled.lower, doubled.upper
-    ):
-        assert np.all(lo_d <= lo_s + 1e-12)
-        assert np.all(up_d >= up_s - 1e-12)
+    for trial in range(20):
+        net = random_network(rng, sizes=(3, 7, 5, 2))
+        X = rng.normal(size=(8, 3))
+        record = abstract(net, X, k_l={2: 4, 3: 3}, seed=trial)
+        huge = replace(
+            record,
+            clusterings=tuple(replace(cl, epsilons=1e6 * cl.epsilons) for cl in record.clusterings),
+        )
+        assert max(float(e.max()) for e in huge.layer_epsilons()) > 1e5
+        for x in (rng.normal(size=3), rng.normal(size=(4, 3))):
+            want = lifted_bounds(record, x, 0.05)
+            got = lifted_bounds(huge, x, 0.05)
+            for g, w in zip(got.lower + got.upper + got.widening,
+                            want.lower + want.upper + want.widening):
+                assert np.array_equal(g, w)
 
 
 def test_lifted_relu_output_clamps():
@@ -214,14 +226,18 @@ def test_lifted_relu_output_clamps():
     relu_abstract = Network(
         record.abstract_net.weights, record.abstract_net.biases, "relu"
     )
+    # the merged-away layer-3 neuron reads 1.5 times the representative's
+    # first input, so over the layer-2 interval [0, 2] x [0, 2] at x = 0,
+    # delta = 1 its box epsilon is 0.5 * 2 = 1; the merge keeps the
+    # representative's row, so the abstract net is unchanged
+    w1, w2, w3 = record.original_net.weights
     relu_original = Network(
-        record.original_net.weights, record.original_net.biases, "relu"
+        (w1, np.array([[1.0, 1.0], [1.5, 1.0]]), w3), record.original_net.biases, "relu"
     )
-    # the merged layer-3 cluster carries epsilon 1.0
     c2, c3 = record.clusterings
     relu_record = type(record)(
         original_net=relu_original,
-        clusterings=(c2, replace(c3, epsilons=np.array([0.0, 1.0]))),
+        clusterings=(c2, replace(c3, epsilons=np.array([0.0, 0.25]))),
     )
     derived = relu_record.abstract_net
     assert derived.output_activation == "relu"
@@ -231,10 +247,14 @@ def test_lifted_relu_output_clamps():
     ):
         assert np.array_equal(got, want)
     assert [e.tolist() for e in relu_record.layer_epsilons()] == [
-        [0.0, 0.0], [0.0, 0.0], [1.0], [0.0, 0.0]
+        [0.0, 0.0], [0.0, 0.0], [0.25], [0.0, 0.0]
     ]
     bounds = lifted_bounds(relu_record, np.zeros(2), np.ones(2))
+    assert bounds.widening[2].tolist() == [1.0]
+    # layer 3's [0, 4] widens to [-1, 5]; label 1 reads it with weight 1, so
+    # its lower bound -1 is clamped to 0
     assert bounds.output_lower == pytest.approx([3.0, 0.0])
+    assert bounds.output_upper == pytest.approx([15.0, 5.0])
     assert np.all(bounds.output_lower >= 0.0)
 
 

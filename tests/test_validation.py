@@ -1,11 +1,13 @@
-"""Seeds, counts, widths, layer indices and radii from a caller are rejected with ValidationError."""
+"""Seeds, counts, widths, layer indices, radii and partitions from a caller are rejected
+with ValidationError."""
 
 import numpy as np
 import pytest
 
 from abstractnet import (
-    LabeledDataset, RobustnessQuery, ValidationError, abstract, collect_activations, falsify,
-    init_network, kmeans, make_synthetic_digits, search_abstraction, split_dataset,
+    LabeledDataset, RobustnessQuery, ValidationError, abstract, collect_activations,
+    epsilon_vector, falsify, init_network, kmeans, make_synthetic_digits, search_abstraction,
+    split_dataset,
 )
 
 NET = init_network((4, 6, 5, 3), seed=0)
@@ -50,6 +52,15 @@ REJECTED = [
             ("collect_activations", lambda layer=layer: collect_activations(NET, X, layer)),
             ("neuron_map", lambda layer=layer: RECORD.neuron_map(layer)),
             ("clustering_for", lambda layer=layer: RECORD.clustering_for(layer)),
+        )
+    ),
+    # epsilon_vector needs a partition of the rows, each representative in its own cluster
+    *(
+        pytest.param(lambda c=c, r=r: epsilon_vector(POINTS[:3], c, r), id=f"epsilon_vector-{name}")
+        for name, c, r in (
+            ("uncovered", [(0, 1)], [0]),
+            ("rep-outside", [(0, 1), (2,)], [2, 2]),
+            ("rep-range", [(0, 1, 2)], [5]),
         )
     ),
 ]
