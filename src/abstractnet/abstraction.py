@@ -22,7 +22,7 @@ import numpy as np
 from .clustering import KMeansSeeding, LayerClustering, cluster_layer
 from .data import LabeledDataset, accuracy, collect_activations
 from .errors import FormatError, ValidationError, check_int
-from .network import Network
+from .network import Network, _decode_array, _encode_array, _json_int
 
 
 def _merge_layer(net: Network, layer: int, clustering: LayerClustering) -> Network:
@@ -50,13 +50,6 @@ def _fingerprint(X: np.ndarray) -> str:
     h.update(str(X.shape).encode())
     h.update(np.ascontiguousarray(X, dtype=np.float64).tobytes())
     return "sha256:" + h.hexdigest()
-
-
-def _json_int(value, what: str = "index") -> int:
-    """An integer >= 0 read from a record; only JSON integers qualify, not bools or floats."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise FormatError(f"expected an integer {what} >= 0, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +137,7 @@ class AbstractionRecord:
                     "layer": cl.layer,
                     "clusters": [list(members) for members in cl.clusters],
                     "representatives": list(cl.representatives),
-                    "epsilon": cl.epsilons.tolist(),
+                    "epsilon": _encode_array(cl.epsilons),
                 }
                 for cl in self.clusterings
             ],
@@ -188,9 +181,9 @@ class AbstractionRecord:
                     layer=_json_int(entry["layer"]),
                     clusters=tuple(tuple(_json_int(i) for i in c) for c in entry["clusters"]),
                     representatives=tuple(_json_int(r) for r in entry["representatives"]),
-                    epsilons=np.asarray(entry["epsilon"], dtype=np.float64),
+                    epsilons=_decode_array(entry["epsilon"], f"layers[{i}].epsilon"),
                 )
-                for entry in layers
+                for i, entry in enumerate(layers)
             )
             fingerprint = prov.get("input_fingerprint", "")
             if not isinstance(fingerprint, str):

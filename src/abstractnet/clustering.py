@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import ActivationMatrix
 from .errors import AbstractnetError, ValidationError, check_int, seeded_rng
+from .network import _frozen
 
 KMEANS_MAX_ITER = 300
 
@@ -48,8 +49,10 @@ class LayerClustering:
     is also the neuron order of the merged layer. ``epsilons[i]`` bounds how far
     neuron i's activation lies from its representative's (0 at the
     representative itself); :func:`cluster_layer` records the largest gap over
-    the activation-collection inputs. Construction reads the partition once
-    into a read-only neuron -> cluster array, which every per-cluster view uses.
+    the activation-collection inputs. Construction keeps a read-only copy of
+    ``epsilons`` (a non-empty, finite, non-negative vector) and reads the
+    partition once into a read-only neuron -> cluster array, which every
+    per-cluster view uses.
     """
 
     layer: int
@@ -59,13 +62,13 @@ class LayerClustering:
     _cluster_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=np.float64)
+        eps = _frozen(self.epsilons, "epsilons", 1)
         object.__setattr__(self, "epsilons", eps)
         cluster_of = _cluster_map(eps.shape[0], self.clusters, self.representatives)
         if list(self.representatives) != sorted(self.representatives):
             raise ValidationError("clusters must be ordered by representative index")
-        if not np.all(np.isfinite(eps)) or np.any(eps < 0):
-            raise ValidationError("epsilons must be finite and non-negative")
+        if np.any(eps < 0):
+            raise ValidationError("epsilons must be non-negative")
         cluster_of.setflags(write=False)
         object.__setattr__(self, "_cluster_of", cluster_of)
 

@@ -5,11 +5,21 @@ network with one hidden layer has L = 3. ``weights[j]`` maps layer j+1 to layer
 j+2 and has shape (width of layer j+2, width of layer j+1); row i holds the
 incoming weights of neuron i. Hidden layers apply ReLU; the output layer applies
 ``output_activation`` ("identity" exposes raw logits, the default).
+
+Net and record files are JSON documents whose weight, bias and epsilon arrays
+are each stored as ``{"dtype": "<f8", "shape": [...], "data": "<base64>"}``:
+the array's little-endian float64 bytes in C order, base64-encoded, so a file
+holds the exact float bits. :func:`_encode_array` writes that object and
+:func:`_decode_array` reads it back; the decoded array is then checked by the
+constructor that receives it (see :func:`_frozen`), not trusted. Arrays stored
+as JSON number lists, the layout written before, are rejected.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +38,49 @@ def _frozen(a, name: str, ndim: int) -> np.ndarray:
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _json_int(value, what: str = "index") -> int:
+    """An integer >= 0 read from a file; only JSON integers qualify, not bools or floats."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"expected an integer {what} >= 0, got {value!r}")
+    return value
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    """The JSON object that stores float array ``a`` bit for bit; see :func:`_decode_array`."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"dtype": "<f8", "shape": list(a.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(doc, name: str) -> np.ndarray:
+    """The float64 array an :func:`_encode_array` object stores, as a read-only view.
+
+    Raises FormatError unless ``doc`` has exactly the three keys, dtype
+    ``"<f8"``, a shape of JSON integers >= 0, and strict base64 data of
+    8 bytes per entry. Values, axes and emptiness are the receiver's to check.
+    """
+    if isinstance(doc, list):
+        raise FormatError(
+            f"{name} is stored as a list of numbers, a layout that is no longer read; "
+            "re-run `train` or `abstract` to write the file again"
+        )
+    if not isinstance(doc, dict) or set(doc) != {"dtype", "shape", "data"}:
+        raise FormatError(f"{name} must be an object with keys dtype, shape and data")
+    if doc["dtype"] != "<f8":
+        raise FormatError(f"{name} has dtype {doc['dtype']!r}, expected '<f8'")
+    if not isinstance(doc["shape"], list):
+        raise FormatError(f"{name} shape must be a list, got {doc['shape']!r}")
+    shape = tuple(_json_int(n, f"{name} shape entry") for n in doc["shape"])
+    if not isinstance(doc["data"], str):
+        raise FormatError(f"{name} data must be a base64 string")
+    try:
+        raw = base64.b64decode(doc["data"], validate=True)
+    except ValueError as exc:
+        raise FormatError(f"{name} data is not valid base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise FormatError(f"{name} data holds {len(raw)} bytes, not 8 per entry of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _as_delta(delta, shape) -> np.ndarray:
@@ -183,7 +236,7 @@ class Network:
         return {
             "layer_sizes": list(self.layer_sizes),
             "layers": [
-                {"weights": w.tolist(), "bias": b.tolist()}
+                {"weights": _encode_array(w), "bias": _encode_array(b)}
                 for w, b in zip(self.weights, self.biases)
             ],
             "output_activation": self.output_activation,
@@ -203,16 +256,13 @@ class Network:
             sizes = list(doc["layer_sizes"])
             layers = doc["layers"]
             act = doc.get("output_activation", "identity")
-            ws = [layer["weights"] for layer in layers]
-            bs = [layer["bias"] for layer in layers]
+            ws, bs = [], []
+            for j, layer in enumerate(layers):
+                ws.append(_decode_array(layer["weights"], f"weights[{j}]"))
+                bs.append(_decode_array(layer["bias"], f"biases[{j}]"))
         except (KeyError, TypeError) as exc:
             raise FormatError(f"network document missing field: {exc}") from exc
-        try:
-            ws = tuple(np.asarray(w, dtype=np.float64) for w in ws)
-            bs = tuple(np.asarray(b, dtype=np.float64) for b in bs)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"network weights and biases must be numeric arrays: {exc}") from exc
-        net = cls(ws, bs, output_activation=act)
+        net = cls(tuple(ws), tuple(bs), output_activation=act)
         if list(net.layer_sizes) != sizes:
             raise ValidationError(
                 f"declared layer_sizes {sizes} do not match matrices {list(net.layer_sizes)}"

@@ -1,9 +1,14 @@
 """Shared builders for the hand-checked toy networks used across tests, and
 reference implementations that tests compare the package against."""
 
+import base64
+
 import numpy as np
 
-from abstractnet import LabeledDataset, Network, TrainingError, init_network, split_dataset
+from abstractnet import (
+    FormatError, LabeledDataset, Network, TrainingError, ValidationError, init_network,
+    split_dataset,
+)
 from abstractnet.abstraction import AbstractionRecord, _fingerprint
 from abstractnet.clustering import KMEANS_MAX_ITER, LayerClustering
 from abstractnet.network import _forward_layers
@@ -79,6 +84,71 @@ def strip_timings(report):
     if isinstance(report, list):
         return [strip_timings(v) for v in report]
     return report
+
+
+# Encoded arrays in net and record files, read and written with base64 and
+# numpy alone, so tests can edit a file's array values without the package.
+
+
+def decoded(arr_doc) -> np.ndarray:
+    """The values an encoded-array object stores, in its declared shape."""
+    values = np.frombuffer(base64.b64decode(arr_doc["data"]), dtype=arr_doc["dtype"])
+    return values.reshape(arr_doc["shape"])
+
+
+def encoded(values, shape=None, dtype="<f8") -> dict:
+    """The encoded-array object for ``values``, declaring ``shape`` (default: their own)."""
+    arr = np.asarray(values, dtype=dtype)
+    raw = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dtype": dtype, "shape": list(arr.shape if shape is None else shape), "data": raw}
+
+
+def as_number_lists(doc):
+    """``doc`` with every encoded array replaced by nested JSON number lists: the old layout."""
+    if isinstance(doc, dict):
+        if set(doc) == {"dtype", "shape", "data"}:
+            return decoded(doc).tolist()
+        return {k: as_number_lists(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [as_number_lists(v) for v in doc]
+    return doc
+
+
+def _with_entry(arr_doc, value):
+    """``arr_doc`` re-encoded with its first entry set to ``value``."""
+    values = decoded(arr_doc).copy()
+    values.flat[0] = value
+    return encoded(values)
+
+
+# Malformed encodings of an array whose first axis has two or more entries: (id, edit, error).
+# Each edit maps a well-formed encoded-array object to a malformed one.
+MALFORMED_ARRAYS = [
+    ("truncated-base64", lambda a: {**a, "data": a["data"][:-1]}, FormatError),
+    ("non-alphabet", lambda a: {**a, "data": "!" + a["data"][1:]}, FormatError),
+    ("non-ascii", lambda a: {**a, "data": "\u00e9" + a["data"][1:]}, FormatError),
+    ("newline", lambda a: {**a, "data": a["data"][:4] + "\n" + a["data"][4:]}, FormatError),
+    ("data-not-a-string", lambda a: {**a, "data": None}, FormatError),
+    ("payload-short", lambda a: encoded(decoded(a).flat[:-1], a["shape"]), FormatError),
+    ("payload-long", lambda a: encoded([*decoded(a).flat, 0.0], a["shape"]), FormatError),
+    ("dtype-<f4", lambda a: encoded(decoded(a), dtype="<f4"), FormatError),
+    ("dtype->f8", lambda a: encoded(decoded(a), dtype=">f8"), FormatError),
+    ("dtype-missing", lambda a: {k: v for k, v in a.items() if k != "dtype"}, FormatError),
+    ("extra-key", lambda a: {**a, "order": "C"}, FormatError),
+    ("shape-bool", lambda a: {**a, "shape": [True, *a["shape"][1:]]}, FormatError),
+    ("shape-negative", lambda a: {**a, "shape": [-a["shape"][0], *a["shape"][1:]]}, FormatError),
+    ("shape-float", lambda a: {**a, "shape": [a["shape"][0] + 0.0, *a["shape"][1:]]}, FormatError),
+    ("shape-nested", lambda a: {**a, "shape": [a["shape"][:1], *a["shape"][1:]]}, FormatError),
+    ("shape-not-a-list", lambda a: {**a, "shape": a["shape"][0]}, FormatError),
+    ("shape-one-row", lambda a: {**a, "shape": [1, int(np.prod(a["shape"]))]}, ValidationError),
+    ("shape-scalar", lambda a: encoded(decoded(a).flat[0], []), ValidationError),
+    ("shape-empty", lambda a: encoded([], [0, *a["shape"][1:]]), ValidationError),
+    ("nan", lambda a: _with_entry(a, np.nan), ValidationError),
+    ("inf", lambda a: _with_entry(a, np.inf), ValidationError),
+    ("-inf", lambda a: _with_entry(a, -np.inf), ValidationError),
+    ("number-lists", lambda a: decoded(a).tolist(), FormatError),
+    ("null", lambda a: None, FormatError),
+]
 
 
 # Reference k-means written the plain way: seeding distances measured row by

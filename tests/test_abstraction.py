@@ -22,6 +22,10 @@ from abstractnet import (
 )
 import abstractnet.abstraction
 from helpers import (
+    MALFORMED_ARRAYS,
+    as_number_lists,
+    decoded,
+    encoded,
     merge_one_cluster,
     random_network,
     toy_abstract_network,
@@ -227,33 +231,53 @@ def test_record_json_round_trip():
 
 def test_record_json_bytes_are_pinned():
     # the bytes a record is saved as: the original network, the clusterings and
-    # the provenance; the abstract network is derived on load, not stored
+    # the provenance; the abstract network is derived on load, not stored. Each
+    # array is its little-endian float64 bytes in base64: "AAAAAAAA8D8" is 1.0,
+    # "AAAAAAAA8L8" -1.0, "AAAAAAAAFEA" 5.0 and "AAAAAAAA0D8" 0.25
     record = toy_record(0.25)
+    zeros = '{"dtype": "<f8", "shape": [2], "data": "AAAAAAAAAAAAAAAAAAAAAA=="}'
     original_net = (
-        '"original_network": {"layer_sizes": [2, 2, 2, 2], '
-        '"layers": [{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": '
-        '[[1.0, 1.0], [1.0, 1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, 1.0], [0.0, '
-        '1.0]], "bias": [5.0, 0.0]}], "output_activation": "identity"}, "layers": [{"layer": '
-        '2, "clusters": [[0], [1]], "representatives": [0, 1], "epsilon": [0.0, 0.0]}, '
-        '{"layer": 3, "clusters": [[0, 1]], "representatives": [0], "epsilon": [0.0, '
-        '0.25]}], "provenance": {"k_l": {"2": 2, "3": 1}, "seed": 0, '
-        '"input_fingerprint": '
+        '"original_network": {"layer_sizes": [2, 2, 2, 2], "layers": [{"weights": '
+        '{"dtype": "<f8", "shape": [2, 2], '
+        '"data": "AAAAAAAA8D8AAAAAAADwPwAAAAAAAPA/AAAAAAAA8L8="}, "bias": ' + zeros + '}, '
+        '{"weights": {"dtype": "<f8", "shape": [2, 2], '
+        '"data": "AAAAAAAA8D8AAAAAAADwPwAAAAAAAPA/AAAAAAAA8D8="}, "bias": ' + zeros + '}, '
+        '{"weights": {"dtype": "<f8", "shape": [2, 2], '
+        '"data": "AAAAAAAA8D8AAAAAAADwPwAAAAAAAAAAAAAAAAAA8D8="}, "bias": '
+        '{"dtype": "<f8", "shape": [2], "data": "AAAAAAAAFEAAAAAAAAAAAA=="}}], '
+        '"output_activation": "identity"}, "layers": [{"layer": 2, "clusters": [[0], [1]], '
+        '"representatives": [0, 1], "epsilon": ' + zeros + '}, {"layer": 3, '
+        '"clusters": [[0, 1]], "representatives": [0], "epsilon": '
+        '{"dtype": "<f8", "shape": [2], "data": "AAAAAAAAAAAAAAAAAADQPw=="}}], '
+        '"provenance": {"k_l": {"2": 2, "3": 1}, "seed": 0, "input_fingerprint": '
         '"sha256:bc4a99bf0583c9b2ca22ff043820c4a78cb0c9099abe8a7ae350e00d601503a7", '
         '"num_inputs": 2}}'
     )
     assert record.to_json() == '{"schema": 1, ' + original_net
     # the layout that also stored the abstract network is rejected, not read
     legacy = (
-        '{"schema": 1, "abstract_network": {"layer_sizes": [2, 2, 1, 2], "layers": '
-        '[{"weights": [[1.0, 1.0], [1.0, -1.0]], "bias": [0.0, 0.0]}, {"weights": [[1.0, '
-        '1.0]], "bias": [0.0]}, {"weights": [[2.0], [1.0]], "bias": [5.0, 0.0]}], '
+        '{"schema": 1, "abstract_network": {"layer_sizes": [2, 2, 1, 2], "layers": [{"weights": '
+        '{"dtype": "<f8", "shape": [2, 2], '
+        '"data": "AAAAAAAA8D8AAAAAAADwPwAAAAAAAPA/AAAAAAAA8L8="}, "bias": ' + zeros + '}, '
+        '{"weights": {"dtype": "<f8", "shape": [1, 2], "data": "AAAAAAAA8D8AAAAAAADwPw=="}, '
+        '"bias": {"dtype": "<f8", "shape": [1], "data": "AAAAAAAAAAA="}}, {"weights": '
+        '{"dtype": "<f8", "shape": [2, 1], "data": "AAAAAAAAAEAAAAAAAADwPw=="}, "bias": '
+        '{"dtype": "<f8", "shape": [2], "data": "AAAAAAAAFEAAAAAAAAAAAA=="}}], '
         '"output_activation": "identity"}, ' + original_net
     )
     with pytest.raises(FormatError, match="abstract_network"):
         AbstractionRecord.from_json(legacy)
     assert json.loads(record.to_json())["original_network"] == record.original_net.to_dict()
     net = record.abstract_net
+    assert legacy.startswith('{"schema": 1, "abstract_network": ' + net.to_json()[:-1])
     assert Network.from_dict(net.to_dict()).to_json() == net.to_json()
+    # the layout that stored arrays as number lists is rejected, not read
+    with pytest.raises(FormatError, match="no longer read"):
+        AbstractionRecord.from_json(json.dumps(as_number_lists(json.loads(record.to_json()))))
+    doc = json.loads(record.to_json())
+    doc["layers"][1]["epsilon"] = [0.0, 0.25]
+    with pytest.raises(FormatError, match="no longer read"):
+        AbstractionRecord.from_json(json.dumps(doc))
 
 
 def test_record_save_load(tmp_path):
@@ -264,18 +288,62 @@ def test_record_save_load(tmp_path):
     assert back.to_json() == record.to_json()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_record_epsilons_round_trip_bit_exact(seed, tmp_path):
+    # epsilons holding subnormals, -0.0 and the largest finite float, on random
+    # nets of several depths; save -> load -> save rewrites the same bytes
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    special = np.array([5e-324, np.finfo(float).tiny / 7, -0.0, 0.0, np.finfo(float).max, 0.1])
+    clusterings = []
+    for layer in net.hidden_layers:
+        cl = LayerClustering.identity(layer, net.width(layer))
+        eps = rng.choice(special, size=cl.num_neurons)
+        clusterings.append(LayerClustering(layer, cl.clusters, cl.representatives, eps))
+    record = AbstractionRecord(net, tuple(clusterings), seed=seed, num_inputs=3)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    record.save(first)
+    back = AbstractionRecord.load(first)
+    for got, want in zip(back.clusterings, record.clusterings):
+        assert got.epsilons.tobytes() == want.epsilons.tobytes()
+        assert not got.epsilons.flags.writeable
+    for got, want in zip(back.original_net.weights, record.original_net.weights):
+        assert got.tobytes() == want.tobytes()
+    back.save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, error", [pytest.param(e, err, id=i) for i, e, err in MALFORMED_ARRAYS]
+)
+def test_malformed_epsilon_arrays_rejected(edit, error):
+    doc = json.loads(toy_record(0.25).to_json())
+    doc["layers"][1]["epsilon"] = edit(doc["layers"][1]["epsilon"])
+    with pytest.raises(error):
+        AbstractionRecord.from_json(json.dumps(doc))
+
+
 def test_record_from_json_errors():
     with pytest.raises(FormatError):
         AbstractionRecord.from_json("{not json")
     with pytest.raises(FormatError):
         AbstractionRecord.from_json(json.dumps({"schema": 1, "layers": []}))
     good = json.loads(toy_record(0.25).to_json())
+
+    def drop_last(arr_doc):
+        return encoded(decoded(arr_doc).flat[:-1], arr_doc["shape"])
+
     for edit in (
         lambda doc: doc["layers"][1]["clusters"][0].__setitem__(1, 1.5),
         lambda doc: doc["layers"][1]["clusters"][0].__setitem__(1, "1"),
         lambda doc: doc["layers"][0]["representatives"].__setitem__(0, True),
-        lambda doc: doc["layers"][1]["epsilon"].__setitem__(1, "wide"),
-        lambda doc: doc["original_network"]["layers"][0]["weights"].__setitem__(0, [1.0]),
+        # a non-numeric epsilon and a ragged weight row, restated on the encoded
+        # arrays: a payload outside the base64 alphabet, and an entry dropped
+        # under the declared shape
+        lambda doc: doc["layers"][1]["epsilon"].__setitem__("data", "wide?"),
+        lambda doc: doc["original_network"]["layers"][0].update(
+            weights=drop_last(doc["original_network"]["layers"][0]["weights"])
+        ),
         lambda doc: doc["provenance"].__setitem__("seed", "x"),
         lambda doc: doc["provenance"].__setitem__("seed", 1.5),
         lambda doc: doc["provenance"].__setitem__("seed", "7"),
@@ -300,6 +368,13 @@ def test_record_from_json_errors():
         doc = json.loads(json.dumps(good))
         edit(doc)
         with pytest.raises(FormatError):
+            AbstractionRecord.from_json(json.dumps(doc))
+    # epsilons decoded, edited and re-encoded: negative, NaN, a scalar, one too many
+    for eps, shape in (([0.0, -0.25], [2]), ([0.0, np.nan], [2]), ([0.25], []),
+                       ([0.0, 0.25, 0.0], [3])):
+        doc = json.loads(json.dumps(good))
+        doc["layers"][1]["epsilon"] = encoded(eps, shape)
+        with pytest.raises(ValidationError):
             AbstractionRecord.from_json(json.dumps(doc))
     # the unedited document, and each field at another valid value, still load
     for field, value in (("seed", 7), ("num_inputs", 0)):
@@ -433,18 +508,18 @@ def integer_search_case():
 def test_search_record_bytes_are_pinned():
     # the record this seeded search writes; a change to k-means, its seeding or
     # the search that moves any byte fails here, even when abstract() moves
-    # with it. The digests are those of the record and the merged net written
-    # when a record also named its epsilon norm, under "linf" with that one
-    # provenance entry removed.
+    # with it. The arrays are those of the record and merged net written when
+    # a record also named its epsilon norm, under "linf" with that one
+    # provenance entry removed; the digests are of their base64 encoding.
     net, ds, val = integer_search_case()
     record = search_abstraction(net, ds, 0.9, seed=3, val=val)
     assert record.k_l == {2: 7, 3: 6}
     assert hashlib.sha256(record.to_json().encode()).hexdigest() == (
-        "ee92f7b5c358810eb1b3f2683f9e37ab69e4d13d30cd09ce41c8afc8d4158841"
+        "f4682f2e3dd67d8891938d413fe21203b562936e5868389bba6589f305ded5f2"
     )
     # the merged network the record derives, which no record file stores
     assert hashlib.sha256(record.abstract_net.to_json().encode()).hexdigest() == (
-        "b2ad82bbc07bd64be3dbf1c2c57dbe8a18ef574230914dc2c261f8d10849384b"
+        "8385cbbe04b1b25233f36ac7e4500181b15814fe4560aad96285dc340923c2b2"
     )
 
 
@@ -462,14 +537,14 @@ def float_search_case():
 def test_float_search_record_bytes_are_pinned():
     # Gram-matrix arithmetic is exact on integer activations, so the integer
     # case above cannot see a change to k-means that moves real-valued bytes;
-    # this digest is that of the record written by row-by-row seeding
-    # distances and a Lloyd loop run one cluster at a time (the "linf" record
-    # of that code, with its epsilon_norm provenance entry removed)
+    # this record holds the arrays written by row-by-row seeding distances and
+    # a Lloyd loop run one cluster at a time (the "linf" record of that code,
+    # with its epsilon_norm provenance entry removed), base64-encoded
     net, ds, val = float_search_case()
     record = search_abstraction(net, ds, 0.8, seed=4, val=val)
     assert record.k_l == {2: 19, 3: 11}
     assert hashlib.sha256(record.to_json().encode()).hexdigest() == (
-        "fb5c4d91170616463e441ce48a6bfa779edaa53953eafbc8ef3060db0fa6e3b1"
+        "bd72aed69a2656af99cbcded8e4ba90ccd068b9c8cb6784eb88bd94402eb565c"
     )
 
 

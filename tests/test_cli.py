@@ -14,7 +14,7 @@ from abstractnet import (
 )
 from abstractnet import cli
 from abstractnet.cli import main
-from helpers import strip_timings
+from helpers import MALFORMED_ARRAYS, as_number_lists, decoded, encoded, strip_timings
 
 
 def run_cli(argv):
@@ -290,7 +290,10 @@ def test_tampered_record_rejected(workdir, tmp_path):
     for shift in (0.0, 0.25):
         doc = json.loads(record.to_json())
         doc["abstract_network"] = record.abstract_net.to_dict()
-        doc["abstract_network"]["layers"][0]["bias"][0] += shift
+        layer = doc["abstract_network"]["layers"][0]
+        bias = decoded(layer["bias"]).copy()
+        bias[0] += shift
+        layer["bias"] = encoded(bias)
         legacy = tmp_path / f"legacy-{shift}.json"
         legacy.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="abstract_network"):
@@ -419,13 +422,16 @@ def test_missing_and_malformed_files(workdir, tmp_path):
     garbage.write_text("{broken")
     rc, _, _ = run_cli(["verify", "--net", str(garbage), *SYNTH, "--delta", "0.1"])
     assert rc == 2
-    # well-formed JSON holding malformed values: an input-format error, not an internal one
+    # well-formed JSON holding malformed values: an input-format error, not an
+    # internal one. A ragged row is an entry dropped under the declared shape,
+    # and a string is a character outside the base64 alphabet.
     d, _, _ = workdir
     net_doc = json.loads((d / "net.json").read_text())
     ragged = json.loads(json.dumps(net_doc))
-    ragged["layers"][0]["weights"][0] = ragged["layers"][0]["weights"][0][:-1]
+    w = ragged["layers"][0]["weights"]
+    ragged["layers"][0]["weights"] = encoded(decoded(w).flat[:-1], w["shape"])
     stringy = json.loads(json.dumps(net_doc))
-    stringy["layers"][1]["weights"][0][0] = "w"
+    stringy["layers"][1]["weights"]["data"] = "w?" + stringy["layers"][1]["weights"]["data"][2:]
     for i, doc in enumerate((ragged, stringy)):
         path = tmp_path / f"net{i}.json"
         path.write_text(json.dumps(doc))
@@ -436,13 +442,56 @@ def test_missing_and_malformed_files(workdir, tmp_path):
     index = json.loads(json.dumps(record_doc))
     index["layers"][0]["clusters"][0][0] = "first"
     epsilon = json.loads(json.dumps(record_doc))
-    epsilon["layers"][0]["epsilon"][0] = "small"
+    epsilon["layers"][0]["epsilon"]["data"] = "small?"
     for i, doc in enumerate((index, epsilon)):
         path = tmp_path / f"record{i}.json"
         path.write_text(json.dumps(doc))
         rc, out, err = run_cli(["lift", "--record", str(path), *SYNTH, "--delta", "0.1"])
         assert (rc, out) == (2, "")
         assert "internal error" not in err
+
+
+@pytest.mark.parametrize("edit", [pytest.param(e, id=i) for i, e, _ in MALFORMED_ARRAYS])
+def test_malformed_arrays_exit_2(workdir, tmp_path, edit):
+    d, _, _ = workdir
+    net_doc = json.loads((d / "net.json").read_text())
+    net_doc["layers"][0]["weights"] = edit(net_doc["layers"][0]["weights"])
+    record_doc = json.loads((d / "record.json").read_text())
+    record_doc["layers"][0]["epsilon"] = edit(record_doc["layers"][0]["epsilon"])
+    for flag, doc, argv in (("--net", net_doc, ["verify"]), ("--record", record_doc, ["lift"])):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli([*argv, flag, str(path), *SYNTH, "--delta", "0", "--count", "2"])
+        assert (rc, out) == (2, ""), argv
+        assert "internal error" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("epsilon", [0.5, None, encoded(0.5, [])], ids=["scalar", "null", "0-d"])
+def test_record_with_scalar_epsilon_exits_2(workdir, tmp_path, epsilon):
+    d, _, _ = workdir
+    doc = json.loads((d / "record.json").read_text())
+    doc["layers"][0]["epsilon"] = epsilon
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(["lift", "--record", str(path), *SYNTH, "--delta", "0", "--count", "2"])
+    assert (rc, out) == (2, "")
+    assert "internal error" not in err
+
+
+def test_number_list_layout_exits_2(workdir, tmp_path):
+    # net and record files that store arrays as JSON number lists are not read
+    d, _, _ = workdir
+    old_net, old_record = tmp_path / "net.json", tmp_path / "record.json"
+    for old, new in ((old_net, d / "net.json"), (old_record, d / "record.json")):
+        old.write_text(json.dumps(as_number_lists(json.loads(new.read_text()))))
+    for argv in (["verify", "--net", old_net, "--count", "2", "--delta", "0"],
+                 ["verify", "--record", old_record, "--count", "2", "--delta", "0"],
+                 ["lift", "--record", old_record, "--count", "2", "--delta", "0"],
+                 ["abstract", "--net", old_net, "--kl", "2:4"],
+                 ["bench", "--net", old_net, "--alpha", "0.1", "--count", "2"]):
+        rc, out, err = run_cli([str(a) for a in argv] + SYNTH)
+        assert (rc, out) == (2, ""), argv[:2]
+        assert "no longer read" in err and "Traceback" not in err
 
 
 def test_non_finite_delta_is_invalid_input(workdir):
@@ -565,8 +614,8 @@ def workflow_digests(d):
     return digests
 
 
-# The record files are byte for byte those written when records named their
-# epsilon norm, under "linf" with that one provenance entry removed. The
+# The files hold the arrays written when records named their epsilon norm,
+# under "linf" with that one provenance entry removed, now base64-encoded. The
 # reports differ from that code's "linf" reports only in the epsilon_scope
 # note and the abstract report's dropped "epsilon_norm" key.
 PINNED_WORKFLOW = {
@@ -576,10 +625,10 @@ PINNED_WORKFLOW = {
     "verify --falsify": "112895861ac6eef64b8dd2070fe5cfdbb51767d143a870f27878ea8f9edd431b",
     "lift": "d846ef7e468b9d8f68a2f68f9f319944470cba7dfd3aed476142e61605c40e5f",
     "bench": "971d16ea57035128c2d8b598f69f3ddfe61480f097703f967c794605bcab442d",
-    "net.json": "6e09833ad0526d68a1f5ed91ac82cd6b48e159e514171f4e213bf6eabb2a5bbe",
-    "alpha.json": "4b12429a3095f97de749df7706624b27c49f762c1af482a374e07d000a76757a",
-    "kl.json": "fd5f0c868372470af07e56073b965eacffebf8c93b6e28e65ee09ec6ec2086bb",
-    "bench.json": "4b12429a3095f97de749df7706624b27c49f762c1af482a374e07d000a76757a",
+    "net.json": "b8341b4cefdafbd0e2e55f6a54161b10c963c4fdc29317e87cd2eee02ec14d51",
+    "alpha.json": "88ed1b60dbe4f0b09ee939a804372aea2eebecccc4639dd3f37b35e4f6a5e3f8",
+    "kl.json": "dc07036de45113a044d373d90aacd21e9ddae53e932c565cd30d7e71dc00351d",
+    "bench.json": "88ed1b60dbe4f0b09ee939a804372aea2eebecccc4639dd3f37b35e4f6a5e3f8",
 }
 
 

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from abstractnet import FormatError, Network, RobustnessQuery, ValidationError
-from helpers import toy_abstract_network
+from helpers import (
+    MALFORMED_ARRAYS, as_number_lists, decoded, encoded, random_network, toy_abstract_network,
+)
+
+# finite floats a text layout could misread: subnormals, both zeros, the extremes
+SPECIAL_VALUES = np.array([
+    5e-324, -5e-324, np.finfo(float).tiny / 3, -0.0, 0.0, np.finfo(float).max,
+    -np.finfo(float).max, np.finfo(float).tiny, 1 / 3, -np.pi * 1e-300,
+])
 
 
 def test_toy_forward_golden():
@@ -95,16 +103,77 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(clone.weights[2], net.weights[2])
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_random_nets_round_trip_bit_exact(seed, tmp_path):
+    # depths 1..4, widths 1..10 including 1-wide layers, special values planted
+    rng = np.random.default_rng(seed)
+    sizes = [int(rng.integers(1, 11)) for _ in range(seed % 4 + 2)]
+    sizes[rng.integers(len(sizes))] = 1
+    net = random_network(rng, sizes)
+    ws = [w.copy() for w in net.weights]
+    bs = [b.copy() for b in net.biases]
+    for arr in (*ws, *bs):
+        arr.flat[: SPECIAL_VALUES.size] = rng.permutation(SPECIAL_VALUES)[: arr.size]
+    net = Network(tuple(ws), tuple(bs), output_activation=("identity", "relu")[seed % 2])
+    clone = Network.from_json(net.to_json())
+    assert clone.layer_sizes == net.layer_sizes == tuple(sizes)
+    assert clone.output_activation == net.output_activation
+    for got, want in zip((*clone.weights, *clone.biases), (*net.weights, *net.biases)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here, not under ==
+        assert not got.flags.writeable
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    net.save(first)
+    Network.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_arrays_are_stored_as_exact_bytes():
+    net = Network((SPECIAL_VALUES.reshape(2, 5),), (SPECIAL_VALUES[:2],))
+    layer = net.to_dict()["layers"][0]
+    assert layer["weights"]["dtype"] == "<f8"
+    assert layer["weights"]["shape"] == [2, 5]
+    assert decoded(layer["weights"]).tobytes() == SPECIAL_VALUES.astype("<f8").tobytes()
+    assert layer["bias"] == encoded(SPECIAL_VALUES[:2])
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(FormatError):
         Network.load(path)
+    # a ragged row, a string and an object among the weights, restated on the
+    # encoded array: an entry dropped under the declared shape, a character
+    # outside the base64 alphabet, and an object where the payload belongs
     doc = toy_abstract_network().to_dict()
-    for weights in ([[1.0, 1.0], [1.0]], [[1.0, "a"], [1.0, -1.0]], [[1.0, {}], [1.0, -1.0]]):
-        doc["layers"][0]["weights"] = weights  # ragged, a string, an object
+    w = doc["layers"][0]["weights"]
+    for weights in (
+        encoded(decoded(w).flat[:-1], w["shape"]),
+        {**w, "data": w["data"][:5] + "a!" + w["data"][7:]},
+        {**w, "data": {}},
+    ):
+        doc["layers"][0]["weights"] = weights
         with pytest.raises(FormatError):
             Network.from_dict(doc)
+
+
+def test_number_list_layout_is_rejected():
+    # the layout that stored arrays as JSON number lists is not read
+    doc = as_number_lists(toy_abstract_network().to_dict())
+    assert doc["layers"][0]["weights"] == [[1.0, 1.0], [1.0, -1.0]]
+    with pytest.raises(FormatError, match="no longer read"):
+        Network.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, error", [pytest.param(e, err, id=i) for i, e, err in MALFORMED_ARRAYS]
+)
+@pytest.mark.parametrize("field", ["weights", "bias"])
+def test_malformed_arrays_rejected(field, edit, error):
+    doc = random_network(np.random.default_rng(3), (3, 4, 2)).to_dict()
+    doc["layers"][0][field] = edit(doc["layers"][0][field])
+    with pytest.raises(error):
+        Network.from_json(json.dumps(doc))
 
 
 def test_from_json_rejects_inconsistent_sizes():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from abstractnet import (
-    LabeledDataset, RobustnessQuery, ValidationError, abstract, collect_activations,
+    LabeledDataset, LayerClustering, RobustnessQuery, ValidationError, abstract,
+    collect_activations,
     epsilon_vector, falsify, init_network, kmeans, make_synthetic_digits, search_abstraction,
     split_dataset,
 )
@@ -54,6 +55,14 @@ REJECTED = [
             ("clustering_for", lambda layer=layer: RECORD.clustering_for(layer)),
         )
     ),
+    # a clustering's epsilons are one finite, non-negative entry per neuron
+    *(
+        pytest.param(lambda e=e: LayerClustering(2, ((0, 1),), (0,), e), id=f"epsilons-{name}")
+        for name, e in (
+            ("scalar", 0.5), ("null", None), ("2-d", [[0.0, 0.5]]), ("empty", []),
+            ("negative", [0.0, -0.5]), ("nan", [0.0, np.nan]),
+        )
+    ),
     # epsilon_vector needs a partition of the rows, each representative in its own cluster
     *(
         pytest.param(lambda c=c, r=r: epsilon_vector(POINTS[:3], c, r), id=f"epsilon_vector-{name}")
@@ -77,3 +86,13 @@ def test_numpy_integers_are_python_integers_in_a_record():
     want = abstract(NET, X, {2: 3, 3: 2}, seed=4).to_json()
     got = abstract(NET, X, {np.int64(2): np.int32(3), 3: np.int64(2)}, seed=np.int64(4))
     assert got.to_json() == want
+
+
+def test_clustering_keeps_its_own_read_only_epsilons():
+    # the caller's array is copied: writing to it afterwards changes nothing
+    e = np.array([0.0, 0.5])
+    cl = LayerClustering(2, ((0, 1),), (0,), e)
+    e[0] = -5.0
+    assert cl.epsilons.tolist() == [0.0, 0.5]
+    with pytest.raises(ValueError):
+        cl.epsilons[0] = -5.0
