@@ -22,7 +22,7 @@ import numpy as np
 from .clustering import KMeansSeeding, LayerClustering, cluster_layer
 from .data import LabeledDataset, accuracy, collect_activations
 from .errors import FormatError, ValidationError, check_int
-from .network import Network, _decode_array, _encode_array, _json_int
+from .network import Network, _decode_array, _encode_array, _json_int, _read_text
 
 
 def _merge_layer(net: Network, layer: int, clustering: LayerClustering) -> Network:
@@ -206,8 +206,7 @@ class AbstractionRecord:
 
     @classmethod
     def load(cls, path) -> "AbstractionRecord":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(_read_text(path))
 
 
 def _abstract_layers(net: Network, X, seed: int, choose) -> AbstractionRecord:
@@ -305,6 +304,9 @@ def search_abstraction(
 
     Activations are collected on ``X``, by default the inputs of ``ds``.
     Requires ``alpha`` to be at most the network's validation accuracy.
+    Each network's validation accuracy is measured once: the base network's,
+    then each candidate merge's; a committed candidate's becomes the running
+    network's.
     """
     if not np.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha}")
@@ -314,18 +316,24 @@ def search_abstraction(
             f"alpha {alpha} exceeds the network's validation accuracy {base_acc}"
         )
 
+    running_acc = base_acc  # the validation accuracy of the running net, measured once
+
     def choose(layer, running, cluster):
-        if not accuracy(running, val) > alpha:
+        nonlocal running_acc
+        if not running_acc > alpha:
             return None
         best = None  # the clustering tried at hi; None while hi is the full width
         lo, hi = 1, running.width(layer)
         while lo < hi:
             mid = (lo + hi) // 2
             candidate = cluster(mid)
-            if accuracy(_merge_layer(running, layer, candidate), val) >= alpha:
-                hi, best = mid, candidate
+            candidate_acc = accuracy(_merge_layer(running, layer, candidate), val)
+            if candidate_acc >= alpha:
+                hi, best, best_acc = mid, candidate, candidate_acc
             else:
                 lo = mid + 1
+        if best is not None:
+            running_acc = best_acc  # the merge of best is the next running net
         return best
 
     return _abstract_layers(net, ds.inputs if X is None else X, seed, choose)

@@ -4,7 +4,8 @@ Every command prints a single JSON report to stdout, except ``verify`` which
 prints one JSON line per query. Logs go to stderr; the level is set by the
 ABSTRACTNET_LOG environment variable (error|warn|info|debug, default warn).
 Exit codes: 0 success, 2 validation or input-format error (including a
-network, record or vector file whose JSON holds malformed values, and a
+network, record or vector file whose JSON holds malformed values, a network,
+record or CSV file that is not UTF-8 text, named in the message, and a
 non-finite delta, alpha or timeout), 3 internal error.
 Identical invocations produce identical reports except for the timing fields
 ("time" and everything under "timings").

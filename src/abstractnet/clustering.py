@@ -1,11 +1,13 @@
 """Neuron clustering by activation similarity.
 
-Neurons are points in R^n: one row of an activation matrix per neuron, one
+Neurons are points in R^d: one row of an activation matrix per neuron, one
 column per input. Lloyd's algorithm with k-means++ seeding groups I/O-similar
-neurons; each cluster elects the member closest to its centroid as the
-representative, and every member gets an epsilon: the largest gap between
-its activation and the representative's over the inputs, which is the
-per-neuron quantity the abstraction's error bound needs.
+neurons; both run on the layer's neuron-by-neuron Gram matrix, built once per
+layer and shared by every k a search tries. Each cluster elects the member
+closest to its centroid as the representative, and every member gets an
+epsilon: the largest gap between its activation and the representative's
+over the inputs, which is the per-neuron quantity the abstraction's error
+bound needs.
 """
 
 from __future__ import annotations
@@ -110,9 +112,9 @@ class LayerClustering:
         return np.stack([m[:, list(members)].sum(axis=1) for members in self.clusters], axis=1)
 
 
-def _wcss(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    diffs = points - centroids[assign]
-    return float(np.sum(diffs * diffs))
+def _gram_matrix(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared row norms and the Gram matrix ``points @ points.T``."""
+    return np.sum(points * points, axis=1), points @ points.T
 
 
 class KMeansSeeding:
@@ -123,9 +125,10 @@ class KMeansSeeding:
     therefore serves every k that a cluster-count search tries on a layer: it
     draws up to the largest k asked for, once.
 
-    Squared distances are read off one Gram matrix ``points @ points.T``,
-    built the first time a second centre is drawn, so each further centre
-    costs O(n) instead of a pass over the points. Rows within the Gram form's
+    The seeding also holds the points' Gram matrix ``points @ points.T``,
+    built on first use, and :func:`kmeans` runs every Lloyd step of every k
+    on it. Seeding distances are read off it, so each further centre costs
+    O(n) instead of a pass over the points. Rows within the Gram form's
     round-off of a centre are measured directly, so exact duplicates (dead
     all-zero neurons among them) keep distance exactly 0. The matrix holds
     n² doubles and costs O(n²·d) to build whatever k is, so a small k on a
@@ -139,13 +142,18 @@ class KMeansSeeding:
         self._chosen: list[int] = []
         self._d2 = None  # squared distance of each point to its nearest folded-in centre
         self._folded = 0  # how many chosen centres _d2 accounts for
-        self._sq = None  # squared row norms and Gram matrix, built on first use
-        self._gram = None
+        self._gram = None  # squared row norms and Gram matrix, built on first use
 
-    def centres(self, k: int) -> np.ndarray:
-        """The first k centres (a copy), spread by squared-distance sampling."""
-        points, chosen, rng = self.points, self._chosen, self._rng
-        n = points.shape[0]
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Squared row norms and Gram matrix of the points, built once."""
+        if self._gram is None:
+            self._gram = _gram_matrix(self.points)
+        return self._gram
+
+    def indices(self, k: int) -> list[int]:
+        """Row indices of the first k centres, spread by squared-distance sampling."""
+        chosen, rng = self._chosen, self._rng
+        n = self.points.shape[0]
         while len(chosen) < k:
             d2 = self._nearest()
             if d2 is None:
@@ -156,7 +164,7 @@ class KMeansSeeding:
             else:
                 i = int(rng.choice(n, p=d2 / total))
             chosen.append(i)
-        return points[chosen[:k]].copy()
+        return chosen[:k]
 
     def _nearest(self) -> np.ndarray | None:
         """Squared distance of each point to its nearest chosen centre; None before the first."""
@@ -169,11 +177,9 @@ class KMeansSeeding:
     def _distances(self, i: int) -> np.ndarray:
         """Squared distance of every point to point i."""
         points = self.points
-        if self._gram is None:
-            self._sq = np.sum(points * points, axis=1)
-            self._gram = points @ points.T
-        scale = self._sq + self._sq[i]
-        d2 = np.maximum(scale - 2.0 * self._gram[i], 0.0)
+        sq, gram = self.gram()
+        scale = sq + sq[i]
+        d2 = np.maximum(scale - 2.0 * gram[i], 0.0)
         # Each Gram distance is off by at most about d units of round-off of
         # |p|^2 + |p_i|^2. Rows that close to point i are measured directly,
         # so a row equal to it gets exactly 0.
@@ -194,19 +200,37 @@ def _cluster_means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray
     return np.stack([points[rows].mean(axis=0) for rows in _members(assign, k)])
 
 
+def _wcss(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
+    diffs = points - centroids[assign]
+    return float(np.sum(diffs * diffs))
+
+
+def _objective(points: np.ndarray, assign: np.ndarray, k: int) -> float:
+    """Within-cluster sum of squares of an assignment, against explicit member means."""
+    return _wcss(points, _cluster_means(points, assign, k), assign)
+
+
 def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
     """Lloyd's algorithm on rows of ``points``; returns k lists of row indices.
 
     Deterministic for a fixed seed. ``seed`` may also be a
     :class:`KMeansSeeding` drawn on these points, which gives the same clusters
-    as its integer seed and shares its draws across calls. The seeding reads
-    one Gram matrix of the points, in which exact duplicate rows keep distance
-    exactly 0. Rows are assigned by ``|p|^2 - 2 p.c + |c|^2`` against the
-    member means of the previous step. Stops when assignments no longer
-    change or after ``KMEANS_MAX_ITER`` iterations; once they alternate
-    between two, it stops at once with the one the last iteration would
-    keep. Empty clusters are repaired by stealing the point currently
-    farthest from its own centroid.
+    as its integer seed and shares its draws and its Gram matrix G across
+    calls. Every step runs on G (kernel k-means): a centroid is held as
+    averaging weights over points, one-hot for a seed centre and 1/|c| over
+    the members after an update, so p.c is G's rows summed per cluster and
+    |c|^2 is the mean of p.c over the members. Rows are assigned by
+    ``|p|^2 - 2 p.c + |c|^2`` at O(n^2 + n·k) per step, against O(n·k·d)
+    for explicit centroids, so the one O(n^2·d) Gram build pays off when
+    d > n. A row whose nearest centroids lie within that form's round-off of
+    each other measures them directly against their explicit member means.
+    Stops when assignments no longer change or after ``KMEANS_MAX_ITER``
+    iterations; once they alternate between two, it stops at once with the
+    one the last iteration would keep. Empty clusters are repaired by
+    stealing the point currently farthest from its own centroid. From the
+    second update on, each update's objective is measured on explicit member
+    means and must not rise past the previous one's (the first is measured
+    only then: against +inf it cannot rise).
     Duplicate rows are fine: with more clusters than distinct rows, some
     clusters end up sharing a value.
     """
@@ -222,12 +246,36 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
         raise ValidationError("the seeding was drawn on other points")
     if k == n:
         return [[i] for i in range(n)]
-    centroids = seed.centres(k)
-    sq = np.sum(points * points, axis=1)[:, None]
+    centres = seed.indices(k)
+    sq, gram = seed.gram()
+    ids = np.arange(n)
+    cross = gram[centres]  # cross[c, i] = centroid c . point i
+    norms = gram[centres, centres]  # |centroid c|^2
+    owners = [[i] for i in centres]  # each centroid's members, listed when a near tie needs them
+    size, mean_sq = np.ones(k), sq[centres]  # members per centroid and their mean |p|^2
     assign = prev = np.full(n, -1, dtype=np.int64)  # committed by the last step and the one before
     prev_obj = np.inf
     for step in range(KMEANS_MAX_ITER):
-        d2 = sq - 2.0 * points @ centroids.T + np.sum(centroids * centroids, axis=1)[None, :]
+        d2 = sq[:, None] - 2.0 * cross.T + norms
+        # Each Gram distance is off by at most about d + 2m units of round-off
+        # of |p|^2 plus the members' mean |p_j|^2. Where that leaves a row more
+        # than one candidate centroid, the candidates are measured directly
+        # against their explicit member means and the rest ruled out, so near
+        # ties (near-duplicate rows among them) are decided by exact distances.
+        tol = (4.0 * (points.shape[1] + 2.0 * size + 3.0) * np.finfo(np.float64).eps) * (
+            sq[:, None] + mean_sq
+        )
+        near = d2 - tol <= np.min(d2 + tol, axis=1, keepdims=True)
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+        if tied.size:
+            if owners is None:
+                owners = _members(assign, k)
+            near = near[tied]
+            exact = np.full(near.shape, np.inf)
+            for c in np.flatnonzero(near.any(axis=0)):
+                centroid = points[owners[c]].mean(axis=0)
+                exact[near[:, c], c] = np.sum((points[tied[near[:, c]]] - centroid) ** 2, axis=1)
+            d2[tied] = exact
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=k)
         empty = np.flatnonzero(counts == 0)
@@ -235,22 +283,28 @@ def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
             # repair empty clusters in index order: each steals the point
             # farthest from its own centroid, never the last of a cluster (a
             # thief is then the last of its new one)
-            dist_own = np.sum((points - centroids[new_assign]) ** 2, axis=1)
+            dist_own = d2[ids, new_assign]
             for c in empty:
-                thief = int(np.argmax(np.where(counts[new_assign] <= 1, -1.0, dist_own)))
+                thief = int(np.argmax(np.where(counts[new_assign] <= 1, -np.inf, dist_own)))
                 counts[new_assign[thief]] -= 1
                 counts[c] = 1
                 new_assign[thief] = c
-                centroids[c] = points[thief]
         if np.array_equal(new_assign, assign):
             break
         cycled = np.array_equal(new_assign, prev)
         prev, assign = assign, new_assign
-        centroids = _cluster_means(points, assign, k)
-        obj = _wcss(points, centroids, assign)
-        if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-            raise AbstractnetError(f"k-means objective rose from {prev_obj} to {obj}")
-        prev_obj = obj
+        sums = np.zeros((k, n))
+        np.add.at(sums, assign, gram)  # per cluster, its members' rows of G in index order
+        cross = sums / counts[:, None]
+        norms = np.bincount(assign, weights=cross[assign, ids], minlength=k) / counts
+        owners, size, mean_sq = None, counts, np.bincount(assign, weights=sq, minlength=k) / counts
+        if step:  # the first update's objective is only ever compared with +inf
+            if step == 1:
+                prev_obj = _objective(points, prev, k)
+            obj = _objective(points, assign, k)
+            if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
+                raise AbstractnetError(f"k-means objective rose from {prev_obj} to {obj}")
+            prev_obj = obj
         if cycled:
             # each step's assignment follows from the last one alone, so the
             # two now alternate up to the cap; return the one the cap ends on

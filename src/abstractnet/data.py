@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_int, seeded_rng
+from .errors import FormatError, ValidationError, check_int, not_utf8_error, seeded_rng
 from .network import Network, _forward_output
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -157,15 +157,15 @@ def load_csv(path, n_inputs: int | None = None, max_rows: int | None = None) -> 
     if max_rows is not None:
         check_int(max_rows, "max_rows", 1)
     with _open_csv(path) as fh:
-        first = fh.readline()
         try:
-            float(first.strip().split(",")[0])
-            header = False
-        except ValueError:
-            header = True  # a blank first line, too, holds no data
-        if not header:
-            fh.seek(0)
-        try:
+            first = fh.readline()
+            try:
+                float(first.strip().split(",")[0])
+                header = False
+            except ValueError:
+                header = True  # a blank first line, too, holds no data
+            if not header:
+                fh.seek(0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 data = np.loadtxt(
@@ -173,6 +173,8 @@ def load_csv(path, n_inputs: int | None = None, max_rows: int | None = None) -> 
                     delimiter=",", comments=None, ndmin=2, dtype=np.float64,
                     max_rows=max_rows,
                 )
+        except UnicodeDecodeError as exc:
+            raise not_utf8_error(path, exc) from exc
         except ValueError as exc:
             if match := _BAD_VALUE.search(str(exc)):
                 value, row, field = match.groups()

@@ -21,6 +21,11 @@ class FormatError(AbstractnetError):
     """A file could not be parsed: bad magic, truncation, malformed JSON or CSV."""
 
 
+def not_utf8_error(path, exc: UnicodeDecodeError) -> FormatError:
+    """The error for a file that does not decode as UTF-8 text, naming the file."""
+    return FormatError(f"{path} is not UTF-8 text: {exc.reason}")
+
+
 class TrainingError(AbstractnetError):
     """Training diverged (non-finite loss or parameters)."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_int
+from .errors import FormatError, ValidationError, check_int, not_utf8_error
 
 OUTPUT_ACTIVATIONS = ("identity", "relu")
 
@@ -81,6 +81,15 @@ def _decode_array(doc, name: str) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise FormatError(f"{name} data holds {len(raw)} bytes, not 8 per entry of shape {shape}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+def _read_text(path) -> str:
+    """The whole file as UTF-8 text; FormatError naming the file if it does not decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise not_utf8_error(path, exc) from exc
 
 
 def _as_delta(delta, shape) -> np.ndarray:
@@ -281,8 +290,7 @@ class Network:
 
     @classmethod
     def load(cls, path) -> "Network":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(_read_text(path))
 
 
 @dataclass(frozen=True, eq=False)

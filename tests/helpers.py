@@ -152,12 +152,13 @@ MALFORMED_ARRAYS = [
 
 
 # Reference k-means written the plain way: seeding distances measured row by
-# row, Lloyd's loop one cluster at a time, one representative per call. The
-# package's Gram-matrix seeding and vectorised loop must match them bit for bit.
+# row, Lloyd's loop on the Gram matrix one cluster at a time, one
+# representative per call. The package's Gram-matrix seeding and vectorised
+# loop must match them bit for bit.
 
 
 def fresh_kmeans_pp(points, k, seed):
-    """k-means++ seeding written out: k centres drawn from scratch under one seed."""
+    """k-means++ seeding written out: the row indices of k centres drawn from scratch."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
@@ -169,36 +170,63 @@ def fresh_kmeans_pp(points, k, seed):
         else:
             chosen.append(int(rng.choice(n, p=d2 / total)))
         d2 = np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
-    return points[chosen]
+    return chosen
 
 
 def reference_kmeans(points, k, seed):
-    """Lloyd's loop one cluster at a time; k lists of row indices."""
-    n = points.shape[0]
+    """Lloyd's loop on the Gram matrix, one cluster and one row at a time; k lists of row indices.
+
+    Centroid c is held as its dot products with every point, ``cross[c]``,
+    and its squared norm ``norms[c]``: a seed centre's row and diagonal entry
+    of G, then the mean of its members' rows of G and the mean of
+    ``cross[c]`` over its members. A row with more than one centroid within
+    the Gram form's round-off of its nearest measures those centroids
+    directly, against their explicit member means, and rules out the rest.
+    """
+    n, d = points.shape
     if k == n:
         return [[i] for i in range(n)]
-    centroids = fresh_kmeans_pp(points, k, seed)
+    eps = np.finfo(np.float64).eps
+    sq = np.sum(points * points, axis=1)
+    gram = points @ points.T
+    cross = np.empty((k, n))
+    norms = np.empty(k)
+    owners = []
+    for c, i in enumerate(fresh_kmeans_pp(points, k, seed)):
+        cross[c] = gram[i]
+        norms[c] = gram[i, i]
+        owners.append([i])
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = (
-            np.sum(points * points, axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.sum(centroids * centroids, axis=1)[None, :]
-        )
+        d2 = sq[:, None] - 2.0 * cross.T + norms[None, :]
+        tol = np.empty((n, k))
+        for c in range(k):
+            mean_sq = sum(sq[owners[c]]) / len(owners[c])
+            tol[:, c] = (4.0 * (d + 2.0 * len(owners[c]) + 3.0) * eps) * (sq + mean_sq)
+        for i in range(n):
+            reach = min(d2[i, c] + tol[i, c] for c in range(k))
+            near = [c for c in range(k) if d2[i, c] - tol[i, c] <= reach]
+            if len(near) > 1:
+                for c in range(k):
+                    if c in near:
+                        centroid = points[owners[c]].mean(axis=0)
+                        d2[i, c] = np.sum((points[i] - centroid) ** 2)
+                    else:
+                        d2[i, c] = np.inf
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):
             if not np.any(new_assign == c):
-                dist_own = np.sum((points - centroids[new_assign]) ** 2, axis=1)
+                dist_own = d2[np.arange(n), new_assign]
                 counts = np.bincount(new_assign, minlength=k)
-                dist_own[counts[new_assign] <= 1] = -1.0
-                thief = int(np.argmax(dist_own))
-                new_assign[thief] = c
-                centroids[c] = points[thief]
+                dist_own[counts[new_assign] <= 1] = -np.inf
+                new_assign[int(np.argmax(dist_own))] = c
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
         for c in range(k):
-            centroids[c] = points[assign == c].mean(axis=0)
+            owners[c] = np.flatnonzero(assign == c)
+            cross[c] = gram[owners[c]].sum(axis=0) / owners[c].size
+            norms[c] = sum(cross[c][owners[c]]) / owners[c].size
     return [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
 
 

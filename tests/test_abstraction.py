@@ -21,6 +21,7 @@ from abstractnet import (
     search_abstraction,
 )
 import abstractnet.abstraction
+import abstractnet.clustering
 from helpers import (
     MALFORMED_ARRAYS,
     as_number_lists,
@@ -546,6 +547,56 @@ def test_float_search_record_bytes_are_pinned():
     assert hashlib.sha256(record.to_json().encode()).hexdigest() == (
         "bd72aed69a2656af99cbcded8e4ba90ccd068b9c8cb6784eb88bd94402eb565c"
     )
+
+
+def test_search_builds_each_layer_gram_matrix_once(monkeypatch):
+    # one Gram matrix per layer k-means ran on, shared by the seeding and
+    # every Lloyd step of every k the search tried there
+    rng = np.random.default_rng(8)
+    net = random_network(rng, [5, 14, 12, 10, 3])
+    X, V = rng.normal(size=(2, 50, 5))
+    ds, val = LabeledDataset(X, net.classify(X)), LabeledDataset(V, net.classify(V))
+    grams = Counter()  # layer width -> Gram matrices built
+    real_gram = abstractnet.clustering._gram_matrix
+    monkeypatch.setattr(
+        abstractnet.clustering,
+        "_gram_matrix",
+        lambda points: grams.update([points.shape[0]]) or real_gram(points),
+    )
+    tried = defaultdict(list)  # layer width -> k tried
+    real_cluster_layer = abstractnet.abstraction.cluster_layer
+
+    def cluster_layer(act, k, **kwargs):
+        tried[act.num_neurons].append(k)
+        return real_cluster_layer(act, k, **kwargs)
+
+    monkeypatch.setattr(abstractnet.abstraction, "cluster_layer", cluster_layer)
+    search_abstraction(net, ds, 0.6, seed=1, val=val)
+    assert len(tried) == 3 and all(len(ks) > 1 for ks in tried.values())
+    assert grams == {width: 1 for width in tried}
+
+
+def test_search_measures_each_net_accuracy_once(monkeypatch):
+    # the base net and each candidate merge; a committed or kept layer reuses
+    # the accuracy already measured
+    net, ds, val = integer_search_case()
+    measured = []
+    real_accuracy = abstractnet.abstraction.accuracy
+    monkeypatch.setattr(
+        abstractnet.abstraction,
+        "accuracy",
+        lambda net, data: measured.append(net.layer_sizes) or real_accuracy(net, data),
+    )
+    tried = []
+    real_cluster_layer = abstractnet.abstraction.cluster_layer
+    monkeypatch.setattr(
+        abstractnet.abstraction,
+        "cluster_layer",
+        lambda act, k, **kwargs: tried.append(k) or real_cluster_layer(act, k, **kwargs),
+    )
+    record = search_abstraction(net, ds, 0.9, seed=3, val=val)
+    assert len(measured) == 1 + len(tried)
+    assert record.k_l == {2: 7, 3: 6}
 
 
 def test_search_draws_each_layer_seeding_once(monkeypatch):

@@ -466,6 +466,44 @@ def test_malformed_arrays_exit_2(workdir, tmp_path, edit):
         assert "internal error" not in err and "Traceback" not in err
 
 
+def _with_byte_ff_on_line(path, line):
+    """``path`` rewritten with a 0xff byte at the start of its 1-based ``line``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize(
+    "case", ["net-bom", "record-bom", "csv-line-1", "csv-line-2", "csv-line-13"]
+)
+def test_undecodable_bytes_exit_2(workdir, tmp_path, case):
+    # a file that is not UTF-8 text is an input-format error naming the file
+    d, _, _ = workdir
+    data = tmp_path / "q.csv"
+    write_query_csv(data)
+    bad = tmp_path / "bad"
+    count = 2
+    if case == "net-bom":
+        bad.write_bytes(b"\xff\xfe" + (d / "net.json").read_bytes())
+        argv = ["verify", "--net", str(bad), "--data", str(data)]
+    elif case == "record-bom":
+        bad.write_bytes(b"\xff\xfe" + (d / "record.json").read_bytes())
+        argv = ["lift", "--record", str(bad), "--data", str(data)]
+    else:
+        # line 13 of four copies of the five rows lies past the first 8 KB the
+        # header sniff decodes, so the row parse, not the sniff, meets it
+        copies, line = (4, 13) if case == "csv-line-13" else (1, int(case[-1]))
+        bad.write_bytes(data.read_bytes() * copies)
+        _with_byte_ff_on_line(bad, line)
+        assert copies == 1 or len(b"".join(bad.read_bytes().splitlines(True)[: line - 1])) > 8192
+        argv = ["verify", "--net", str(d / "net.json"), "--data", str(bad)]
+        count = 5 * copies
+    rc, out, err = run_cli([*argv, "--delta", "0", "--count", str(count)])
+    assert (rc, out) == (2, "")
+    assert f"{bad} is not UTF-8 text" in err
+    assert "internal error" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("epsilon", [0.5, None, encoded(0.5, [])], ids=["scalar", "null", "0-d"])
 def test_record_with_scalar_epsilon_exits_2(workdir, tmp_path, epsilon):
     d, _, _ = workdir

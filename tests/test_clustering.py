@@ -114,7 +114,7 @@ def test_shared_seeding_prefix_matches_fresh_draw():
         for order in (ks, ks[::-1], list(rng.permutation(ks))):
             seeding = KMeansSeeding(points, seed)
             for k in order:
-                assert np.array_equal(seeding.centres(k), fresh_kmeans_pp(points, k, seed))
+                assert seeding.indices(k) == fresh_kmeans_pp(points, k, seed)
         shared = KMeansSeeding(points, seed)
         for k in ks:
             assert kmeans(points, k, seed=shared) == kmeans(points, k, seed=seed)
@@ -163,7 +163,7 @@ def test_gram_seeding_matches_direct_draws():
         expected = fresh_kmeans_pp(points, n, seed)
         seeding = KMeansSeeding(points, seed)
         for k in np.random.default_rng(seed).permutation(np.arange(1, n + 1)):
-            assert np.array_equal(seeding.centres(int(k)), expected[:k])
+            assert seeding.indices(int(k)) == expected[:k]
         reached_exhaustion += len(np.unique(points, axis=0)) < n
     assert reached_exhaustion >= 30
 
@@ -193,13 +193,16 @@ def duplicate_rows(seed, distinct, copies, d):
     return points[rng.permutation(distinct + copies)]
 
 
-@pytest.mark.parametrize("seed, distinct, copies, d", [(9, 13, 4, 27), (9, 12, 5, 20)])
-def test_kmeans_stops_on_a_two_step_cycle(monkeypatch, seed, distinct, copies, d):
+@pytest.mark.parametrize(
+    "seed, distinct, copies, d, updates", [(1, 9, 3, 20, 3), (1, 8, 4, 40, 4)]
+)
+def test_kmeans_stops_on_a_two_step_cycle(monkeypatch, seed, distinct, copies, d, updates):
     # at k one past the distinct rows, a duplicate centre leaves a cluster
     # empty, the repair steals a duplicate and the next assignment gives it
     # back: Lloyd's loop alternates between two assignments up to its cap.
     # It stops once they repeat (after 3 and 4 mean updates here, one case of
-    # each parity) and returns the clusters the capped loop returns.
+    # each parity) and returns the clusters the capped loop returns. From the
+    # second update on, each update measures its objective on explicit means.
     points = duplicate_rows(seed, distinct, copies, d)
     steps = []
     real = abstractnet.clustering._cluster_means
@@ -209,9 +212,52 @@ def test_kmeans_stops_on_a_two_step_cycle(monkeypatch, seed, distinct, copies, d
         lambda *args: steps.append(1) or real(*args),
     )
     clusters = kmeans(points, distinct + 1, seed=seed)
-    assert len(steps) <= 4
+    assert len(steps) == updates
     monkeypatch.undo()
     assert clusters == reference_kmeans(points, distinct + 1, seed)
+
+
+def stress_points(seed):
+    """n0 ReLU-like rows scaled to norms from 1 to 1e5, each kept once, plus
+    near-duplicates of them (relative noise from 1e-12 to 1e-3), exact
+    duplicates and dead all-zero rows, shuffled; returns (points, n0)."""
+    rng = np.random.default_rng(seed)
+    n0 = int(rng.integers(6, 21))
+    d = int(rng.integers(2, 200))
+    base = np.maximum(rng.normal(size=(n0, d)) + rng.normal(size=(n0, 1)), 0.0) + 1e-3
+    base *= 10.0 ** rng.uniform(0, 5, size=(n0, 1)) / np.linalg.norm(base, axis=1, keepdims=True)
+    near_of = rng.integers(0, n0, size=n0)
+    rel = 10.0 ** rng.uniform(-12, -3, size=(n0, 1))
+    near = base[near_of] * (1.0 + rel * rng.normal(size=(n0, d)))
+    exact = base[rng.integers(0, n0, size=n0 // 2)]
+    dead = np.zeros((int(rng.integers(1, 4)), d))
+    points = np.concatenate([base, near, exact, dead])
+    return points[rng.permutation(points.shape[0])], n0
+
+
+def test_kmeans_objective_check_holds_under_stress():
+    # The objective check stays explicit: member means, then the summed
+    # squared gaps. Read off the Gram matrix as sum |p|^2 - sum n_c |mu_c|^2,
+    # it subtracts two sums near sum |p|^2 (up to 1e10 here) to get
+    # objectives as small as 1e-10: over these 200 cases it strayed from the
+    # explicit value by more than the check's 1e-9 relative tolerance in 2,
+    # and without the near-tie measuring below it even came out negative.
+    # Gram distances carry the same round-off, so the loop measures near ties
+    # directly: without that, these cases raised "objective rose" in 2 and
+    # parted identical rows in 3, since BLAS need not give identical rows
+    # bit-identical Gram entries (Lloyd's loop on explicit centroid rows
+    # raised in 1 and parted identical rows in 2).
+    for seed in range(40):
+        points, n0 = stress_points(seed)
+        _, group = np.unique(points, axis=0, return_inverse=True)
+        seeding = KMeansSeeding(points, seed)
+        for k in sorted({2, n0 // 2, n0, n0 + 1, 3 * n0 // 2}):
+            clusters = kmeans(points, k, seed=seeding)
+            cluster_of = np.empty(points.shape[0], dtype=np.int64)
+            for c, members in enumerate(clusters):
+                cluster_of[members] = c
+            for g in range(group.max() + 1):
+                assert len(set(cluster_of[group == g])) == 1, (seed, k, g)
 
 
 def test_cluster_means_equal_per_cluster_means():
