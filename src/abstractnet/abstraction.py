@@ -283,6 +283,10 @@ def reduction_rate(record: AbstractionRecord) -> float:
     return 1.0 - sum(abst) / total
 
 
+# the share of the data, split by seed, on which `abstract --alpha` and `bench` judge alpha
+VAL_FRACTION = 0.2
+
+
 def search_abstraction(
     net: Network,
     ds: LabeledDataset,

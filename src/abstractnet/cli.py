@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .abstraction import AbstractionRecord, abstract, reduction_rate, search_abstraction
+from .abstraction import VAL_FRACTION, AbstractionRecord, abstract, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, load_csv, load_idx, split_dataset
 from .errors import AbstractnetError, FormatError, TrainingError, ValidationError, check_int
 from .lifting import EPSILON_SCOPE_NOTE, abstract_verify_lift, run_report, verify_and_lift
@@ -75,8 +75,7 @@ def _json_default(obj):
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2, default=_json_default)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
 
 
 def _parse_arch(text: str) -> tuple[int, ...]:
@@ -229,12 +228,8 @@ def cmd_abstract(args) -> int:
         k_l = _parse_kl(args.kl)
         record = abstract(net, ds.inputs, k_l, seed=args.seed)
     else:
-        if args.holdout:
-            train_part, val_part = split_dataset(ds, args.val_fraction, args.seed)
-        else:
-            train_part, val_part = ds, ds
-        X = {"train": train_part.inputs, "val": val_part.inputs, "all": ds.inputs}[args.x_source]
-        record = search_abstraction(net, train_part, args.alpha, seed=args.seed, val=val_part, X=X)
+        train_part, val_part = split_dataset(ds, VAL_FRACTION, args.seed)
+        record = search_abstraction(net, train_part, args.alpha, seed=args.seed, val=val_part)
         k_l = record.k_l
     abstract_s = time.perf_counter() - t0
 
@@ -256,7 +251,7 @@ def cmd_abstract(args) -> int:
             "epsilon_max_per_layer": _epsilon_maxima(record),
             "alpha": args.alpha,
             "seed": args.seed,
-            "x_source": args.x_source if args.alpha is not None else "all",
+            "x_source": "all" if args.alpha is None else "train",
             "out": args.out,
             "notes": {"epsilon_scope": EPSILON_SCOPE_NOTE},
             "timings": {"abstract_s": abstract_s},
@@ -369,8 +364,7 @@ def cmd_bench(args) -> int:
     delta = _parse_delta(args.delta, net.layer_sizes[0])
     n = _clamped_count(args.count, len(ds), "inputs")
     run = abstract_verify_lift(
-        net, ds, args.alpha, ds.inputs[:n], delta, seed=args.seed,
-        val_fraction=args.val_fraction, timeout_s=args.timeout_s,
+        net, ds, args.alpha, ds.inputs[:n], delta, seed=args.seed, timeout_s=args.timeout_s
     )
     if args.record_out:
         run.record.save(args.record_out)
@@ -402,23 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abstract", help="merge similar neurons and save the abstraction record")
     p.add_argument("--net", required=True, help="network JSON to abstract")
     _add_data_flags(p)
-    p.add_argument("--alpha", type=float, help="accuracy floor; searches cluster counts per layer")
+    p.add_argument("--alpha", type=float, help="accuracy floor on a held-out 20%% split")
     p.add_argument("--kl", help="explicit cluster counts per hidden layer, e.g. 2:80,3:77")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon-norm", choices=("linf",), help="accepted for older scripts")
-    p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument(
-        "--x-source",
-        choices=("train", "val", "all"),
-        default="train",
-        help="which split provides the activation-collection inputs (with --alpha)",
-    )
-    p.add_argument(
-        "--holdout",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="evaluate the accuracy floor on a held-out split (--no-holdout reuses all data)",
-    )
     p.add_argument("--out", help="where to write the abstraction record JSON")
     p.set_defaults(func=cmd_abstract)
 
@@ -451,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100, help="number of query images")
     p.add_argument("--timeout-s", type=float, default=None, help="stop issuing queries after this")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--record-out", help="also save the abstraction record here")
     p.set_defaults(func=cmd_bench)
 

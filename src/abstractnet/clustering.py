@@ -106,10 +106,14 @@ class LayerClustering:
         return self.cluster_max(self.epsilons)
 
     def sum_columns(self, m: np.ndarray) -> np.ndarray:
-        """Per cluster, the sum of ``m``'s columns over its members (merged outgoing weights)."""
-        if self.num_clusters == self.num_neurons:
-            return m.copy()  # singletons: a one-member sum is the column itself
-        return np.stack([m[:, list(members)].sum(axis=1) for members in self.clusters], axis=1)
+        """Per cluster, the sum of ``m``'s columns over its members (merged outgoing weights).
+
+        Bit-equal to ``m[:, members].sum(axis=1)``, in one pass per cluster size.
+        """
+        out = np.empty((m.shape[0], self.num_clusters))
+        for ids, cols in _size_groups(self.clusters):
+            out[:, ids] = m[:, cols].sum(axis=2)
+        return out
 
 
 def _gram_matrix(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,9 +199,32 @@ def _members(assign: np.ndarray, k: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
-def _cluster_means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """Each cluster's mean row, bit-equal to ``points[assign == c].mean(axis=0)``."""
-    return np.stack([points[rows].mean(axis=0) for rows in _members(assign, k)])
+def _size_groups(clusters):
+    """Per distinct cluster size s: the clusters' indices and their (clusters, s) members."""
+    sizes = np.array([len(c) for c in clusters])
+    for size in np.flatnonzero(np.bincount(sizes)):  # np.unique: its first call imports numpy.ma
+        ids = np.flatnonzero(sizes == size)
+        yield ids, np.array([clusters[c] for c in ids], dtype=np.int64).reshape(ids.size, size)
+
+
+def _cluster_means(points: np.ndarray, clusters) -> np.ndarray:
+    """Each cluster's mean row, bit-equal to ``points[members].mean(axis=0)``.
+
+    numpy adds the rows one at a time from 0.0, as here, in one pass per
+    cluster size with no (clusters, size, d) gather; it sums a single column
+    pairwise, so there the gather is summed.
+    """
+    means = np.empty((len(clusters), points.shape[1]))
+    for ids, rows in _size_groups(clusters):
+        if points.shape[1] == 1:
+            means[ids] = points[rows].sum(axis=1) / rows.shape[1]
+            continue
+        total = np.zeros((ids.size, points.shape[1]))
+        for col in rows.T:
+            total += points[col]
+        total /= rows.shape[1]
+        means[ids] = total
+    return means
 
 
 def _wcss(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
@@ -207,7 +234,7 @@ def _wcss(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> floa
 
 def _objective(points: np.ndarray, assign: np.ndarray, k: int) -> float:
     """Within-cluster sum of squares of an assignment, against explicit member means."""
-    return _wcss(points, _cluster_means(points, assign, k), assign)
+    return _wcss(points, _cluster_means(points, _members(assign, k)), assign)
 
 
 def kmeans(points: np.ndarray, k: int, seed: int | KMeansSeeding = 0):
@@ -337,16 +364,18 @@ def cluster_layer(act: ActivationMatrix, k: int, seed: int | KMeansSeeding = 0) 
 
     ``seed`` is passed to :func:`kmeans`: an int, or a seeding drawn on ``act.values``.
     Each cluster's representative is the member whose row is closest to the
-    cluster's mean row; ties pick the lowest index.
+    cluster's mean row; ties pick the lowest index. A singleton elects its one
+    member, so means and distances are formed for multi-member clusters only.
     """
     points = act.values
     raw = kmeans(points, k, seed=seed)
-    assign = np.empty(points.shape[0], dtype=np.int64)
-    assign[np.concatenate(raw)] = np.repeat(np.arange(k), [len(members) for members in raw])
-    d2 = np.sum((points - _cluster_means(points, assign, k)[assign]) ** 2, axis=1)
-    nearest_first = np.lexsort((d2, assign))  # per cluster; a stable sort, so ties keep index order
-    leads = np.r_[True, np.diff(assign[nearest_first]) != 0]
-    reps = nearest_first[leads]  # cluster c's representative at position c
+    reps = np.empty(k, dtype=np.int64)  # cluster c's representative at position c
+    for ids, rows in _size_groups(raw):
+        if rows.shape[1] > 1:
+            means = _cluster_means(points, rows)
+            d2 = np.stack([np.sum((points[col] - means) ** 2, axis=1) for col in rows.T], axis=1)
+            rows = rows[np.arange(ids.size), np.argmin(d2, axis=1)]  # ties: the first, lowest index
+        reps[ids] = rows.ravel()
     by_rep = np.argsort(reps)
     clusters = tuple(tuple(raw[c]) for c in by_rep)
     reps = tuple(reps[by_rep].tolist())

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractionRecord, reduction_rate, search_abstraction
+from .abstraction import VAL_FRACTION, AbstractionRecord, reduction_rate, search_abstraction
 from .data import LabeledDataset, accuracy, split_dataset
 from .errors import ValidationError
 from .network import Network, RobustnessQuery, _as_delta
@@ -91,11 +91,16 @@ def _lift_operator(record: AbstractionRecord) -> tuple[_IntervalStep, ...]:
         members = {}
         if others.size:
             d = w[others, :] - w[rep_of[others], :]
+            owner = dst.neuron_map()[others]
+            order = np.argsort(owner, kind="stable")
+            starts = np.flatnonzero(np.r_[True, np.diff(owner[order]) != 0])
             members = dict(
                 dp=src.sum_columns(np.maximum(d, 0.0)),
                 dn=src.sum_columns(np.minimum(d, 0.0)),
                 db=b[others] - b[rep_of[others]],
-                owner=dst.neuron_map()[others],
+                order=order,
+                starts=starts,
+                owner=owner[order[starts]],
             )
         reps = list(dst.representatives)
         steps.append(_IntervalStep(wp[reps, :], wn[reps, :], b_abs, **members))
@@ -223,12 +228,11 @@ def abstract_verify_lift(
     X,
     delta,
     seed: int = 0,
-    val_fraction: float = 0.2,
     timeout_s: float | None = None,
 ) -> PipelineRun:
     """Abstract ``net``, verify the original and the abstract net on X, and lift.
 
-    Splits ``ds`` by ``(val_fraction, seed)`` and sizes each layer with the
+    Splits ``ds`` by ``(VAL_FRACTION, seed)`` and sizes each layer with the
     validation-split search. Then, in batches of ``BENCH_BATCH`` rows, it
     interval-verifies the original net and runs :func:`verify_and_lift` on
     the abstract one. ``delta`` is taken as by :func:`verify_and_lift`. Once
@@ -240,7 +244,7 @@ def abstract_verify_lift(
     X = net._check_input(X)
     d = _as_delta(delta, X.shape)
     t_start = time.perf_counter()
-    train_part, val_part = split_dataset(ds, val_fraction, seed)
+    train_part, val_part = split_dataset(ds, VAL_FRACTION, seed)
     record = search_abstraction(net, train_part, alpha, seed=seed, val=val_part)
     timings = {
         "abstract_s": time.perf_counter() - t_start,

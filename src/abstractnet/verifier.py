@@ -73,7 +73,9 @@ class _IntervalStep:
     """One affine layer: the positive and negative parts of its weights, its bias.
 
     A layer with merged-away members m also has ``dp``/``dn``/``db``, the same
-    for the rows W_m - W_rep and b_m - b_rep, and ``owner``, m's cluster.
+    for the rows W_m - W_rep and b_m - b_rep. ``order`` lists the members
+    grouped by cluster, ``starts`` where each cluster's run begins in that
+    order, and ``owner`` the cluster of each run.
     """
 
     wp: np.ndarray
@@ -82,6 +84,8 @@ class _IntervalStep:
     dp: np.ndarray | None = None
     dn: np.ndarray | None = None
     db: np.ndarray | None = None
+    order: np.ndarray | None = None
+    starts: np.ndarray | None = None
     owner: np.ndarray | None = None
 
 
@@ -109,7 +113,7 @@ def _interval_pass(steps, relu_output: bool, lo, up):
             gap_lo = lo @ step.dp.T + hi @ step.dn.T + step.db
             gap = np.maximum(np.abs(gap_up), np.abs(gap_lo))
             e = np.zeros(new_up.shape)
-            np.maximum.at(e.T, step.owner, gap.T)
+            e[..., step.owner] = np.maximum.reduceat(gap[..., step.order], step.starts, axis=-1)
         lows.append(new_lo)
         ups.append(new_up)
         widening.append(e)

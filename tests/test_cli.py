@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from abstractnet import (
-    AbstractionRecord, FormatError, Network, RobustnessQuery, ValidationError,
-    make_synthetic_digits, pipeline,
+    AbstractionRecord, FormatError, Network, RobustnessQuery, ValidationError, accuracy,
+    make_synthetic_digits, pipeline, split_dataset,
 )
 from abstractnet import cli
 from abstractnet.cli import main
@@ -87,20 +87,36 @@ def test_abstract_requires_exactly_one_sizing(workdir):
 
 
 def test_alpha_record_equals_kl_record(workdir, tmp_path):
-    # with --x-source all --no-holdout the search collects activations on the
-    # same rows as --kl, so the record it built is the --kl record at its k_l
-    d, train_report, _ = workdir
-    base = ["abstract", "--net", str(d / "net.json"), *SYNTH, "--seed", "3"]
-    alpha = str(train_report["accuracy"] - 0.05)
-    rc, out, _ = run_cli([*base, "--alpha", alpha, "--x-source", "all", "--no-holdout",
-                          "--out", str(tmp_path / "alpha.json")])
+    # --alpha collects activations on the 80% training split of the seed, so
+    # --kl at the committed k_l on exactly those rows rebuilds its record
+    d, _, _ = workdir
+    train_part, val_part = split_dataset(make_synthetic_digits(150, seed=0), 0.2, 3)
+    net = ["abstract", "--net", str(d / "net.json"), "--seed", "3"]
+    alpha = str(accuracy(Network.load(d / "net.json"), val_part) - 0.05)
+    rc, out, _ = run_cli([*net, *SYNTH, "--alpha", alpha, "--out", str(tmp_path / "alpha.json")])
     assert rc == 0
     report = json.loads(out)
     assert report["k_l"]["2"] < 16
+    assert report["x_source"] == "train"
+    rows = zip(train_part.labels.tolist(), train_part.inputs.tolist())
+    csv = tmp_path / "train.csv"
+    csv.write_text("".join(",".join([str(y), *map(repr, x)]) + "\n" for y, x in rows))
     kl = ",".join(f"{layer}:{k}" for layer, k in report["k_l"].items())
-    rc, _, _ = run_cli([*base, "--kl", kl, "--out", str(tmp_path / "kl.json")])
+    rc, _, _ = run_cli([*net, "--format", "csv", "--data", str(csv), "--kl", kl,
+                        "--out", str(tmp_path / "kl.json")])
     assert rc == 0
     assert (tmp_path / "alpha.json").read_bytes() == (tmp_path / "kl.json").read_bytes()
+
+
+def test_removed_split_flags_are_rejected(workdir):
+    # the held-out split is fixed: --alpha clusters on 80% and judges on 20%
+    d, _, _ = workdir
+    flags = [("abstract", "--x-source", "all"), ("abstract", "--no-holdout"),
+             ("abstract", "--val-fraction", "0.3"), ("bench", "--val-fraction", "0.3")]
+    for command, *flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--net", str(d / "net.json"), *SYNTH, "--alpha", "0.5", *flag])
+        assert exc.value.code == 2
 
 
 def test_epsilon_norm_flag_accepts_only_linf(workdir, tmp_path):
@@ -119,6 +135,22 @@ def test_epsilon_norm_flag_accepts_only_linf(workdir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli([*base, "--epsilon-norm", "l2"])
     assert exc.value.code == 2
+
+
+def test_emit_writes_the_bytes_of_json_dump():
+    # the report is formatted as one string, with the bytes json.dump streams
+    report = {
+        "x": np.float64(0.1),
+        "n": [np.int64(3), [np.bool_(True), 1.5, None]],
+        "nested": {"a": np.arange(3), "b": [{"c": np.float32(0.5)}], "s": "text"},
+        "empty": [],
+    }
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(report)
+    expected = io.StringIO()
+    json.dump(report, expected, indent=2, default=cli._json_default)
+    assert out.getvalue() == expected.getvalue() + "\n"
 
 
 def test_verify_emits_one_json_line_per_query(workdir):

@@ -260,19 +260,84 @@ def test_kmeans_objective_check_holds_under_stress():
                 assert len(set(cluster_of[group == g])) == 1, (seed, k, g)
 
 
-def test_cluster_means_equal_per_cluster_means():
-    # the sorted, split centroid update gives each cluster the bits of the
-    # masked mean, for one column as for many
-    rng = np.random.default_rng(6)
-    for trial in range(200):
-        n = int(rng.integers(1, 150))
-        d = (1, 2, 3, 40, 700)[trial % 5]
-        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+def random_partition(rng, n, kind):
+    """Sorted clusters of range(n), ordered by first member.
+
+    ``kind`` is "singletons", "one" (a single cluster), "sizes" (sizes drawn
+    from 1 to 20) or "few" (a random assignment to at most 12 clusters).
+    """
+    if kind == "few":
         k = int(rng.integers(1, min(n, 12) + 1))
         assign = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
         rng.shuffle(assign)
+        return sorted(tuple(np.flatnonzero(assign == c).tolist()) for c in range(k))
+    perm = rng.permutation(n)
+    if kind == "singletons":
+        sizes = [1] * n
+    elif kind == "one":
+        sizes = [n]
+    else:
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(int(rng.integers(1, 21)), n - sum(sizes)))
+    bounds = np.cumsum([0, *sizes])
+    return sorted(tuple(sorted(perm[a:b].tolist())) for a, b in zip(bounds, bounds[1:]))
+
+
+KINDS = ("few", "singletons", "one", "sizes", "sizes", "sizes")  # 6 kinds against 5 widths d
+
+
+def test_cluster_means_equal_per_cluster_means():
+    # the size-grouped centroid update gives each cluster the bits of the
+    # masked mean, for one column as for many: sizes 1-20 cross numpy's
+    # 8-element pairwise-sum block, and -0.0 entries come out as the mean's
+    rng = np.random.default_rng(6)
+    for trial in range(240):
+        n = int(rng.integers(1, 150))
+        d = (1, 2, 3, 40, 700)[trial % 5]
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        points[rng.random((n, d)) < 0.2] = -0.0
+        clusters = random_partition(rng, n, KINDS[trial % 6])
+        assign = np.empty(n, dtype=np.int64)
+        for c, members in enumerate(clusters):
+            assign[list(members)] = c
+        k = len(clusters)
         expected = np.stack([points[assign == c].mean(axis=0) for c in range(k)])
-        assert np.array_equal(abstractnet.clustering._cluster_means(points, assign, k), expected)
+        means = abstractnet.clustering._cluster_means(points, clusters)
+        assert means.tobytes() == expected.tobytes(), trial
+
+
+def test_sum_columns_equal_per_cluster_sums():
+    # one gather-and-sum per cluster size gives each cluster the bits of its
+    # own column sum, -0.0 entries and all-singleton layers included
+    rng = np.random.default_rng(8)
+    for trial in range(120):
+        n = int(rng.integers(1, 120))
+        clusters = random_partition(rng, n, KINDS[trial % 6])
+        lc = LayerClustering(2, tuple(clusters), tuple(c[0] for c in clusters), np.zeros(n))
+        m = rng.normal(size=(int(rng.integers(1, 5)), n)) * 10.0 ** rng.uniform(-3, 3, size=(1, n))
+        m[rng.random(m.shape) < 0.2] = -0.0
+        expected = np.stack([m[:, list(c)].sum(axis=1) for c in clusters], axis=1)
+        assert lc.sum_columns(m).tobytes() == expected.tobytes(), trial
+
+
+def test_election_forms_means_only_for_multi_member_clusters(monkeypatch):
+    # a singleton elects its one member; the mean is formed for the one
+    # three-member cluster only, whose member 4 sits on it
+    points = np.array([[0.0, 1.0], [5.0, 5.0], [0.2, 1.2], [9.0, 0.0], [0.1, 1.1]])
+    sizes = []
+    real = abstractnet.clustering._cluster_means
+    clusters = [[0, 2, 4], [1], [3]]
+    monkeypatch.setattr(abstractnet.clustering, "kmeans", lambda points, k, seed: clusters)
+    monkeypatch.setattr(
+        abstractnet.clustering,
+        "_cluster_means",
+        lambda points, clusters: sizes.append(np.shape(clusters)) or real(points, clusters),
+    )
+    lc = cluster_layer(ActivationMatrix(layer=2, values=points), 3)
+    assert lc.clusters == ((1,), (3,), (0, 2, 4))
+    assert lc.representatives == (1, 3, 4)
+    assert sizes == [(1, 3)]
 
 
 def test_pick_representative_middle_point():

@@ -179,6 +179,34 @@ def test_widening_of_exact_duplicates_is_zero():
                 assert np.array_equal(got, want)
 
 
+def test_widening_equals_the_scatter_max_over_members():
+    # the lift reduces member gaps run by run, over members sorted by cluster
+    # once per lift operator; max is exact, so the widening has the bits of a
+    # scatter max over each member's cluster, for one query and for a batch
+    rng = np.random.default_rng(44)
+    widened = 0
+    for trial in range(40):
+        net = random_network(rng)
+        d = net.layer_sizes[0]
+        record = abstract(net, rng.normal(size=(8, d)), k_l=random_k_l(rng, net), seed=trial)
+        for x in (rng.normal(size=d), rng.normal(size=(5, d))):
+            lb = lifted_bounds(record, x, 0.05)
+            for j, (step, dst) in enumerate(zip(_lift_operator(record), record.layers[1:])):
+                if step.owner is None:
+                    continue
+                hi, lo = lb.upper[j] + lb.widening[j], lb.lower[j] - lb.widening[j]
+                gap = np.maximum(
+                    np.abs(hi @ step.dp.T + lo @ step.dn.T + step.db),
+                    np.abs(lo @ step.dp.T + hi @ step.dn.T + step.db),
+                )
+                others = np.flatnonzero(dst.rep_of() != np.arange(dst.num_neurons))
+                expect = np.zeros(lb.upper[j + 1].shape)
+                np.maximum.at(expect.T, dst.neuron_map()[others], gap.T)
+                assert lb.widening[j + 1].tobytes() == expect.tobytes()
+                widened += 1
+    assert widened > 40
+
+
 def test_lifted_output_bounds_cover_samples_off_collection_set():
     # query points are drawn apart from X, where recorded epsilons say
     # nothing: sampled original outputs must still stay inside the lifted
