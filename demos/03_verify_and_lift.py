@@ -2,9 +2,9 @@
 
 Uses a tiny hand-built pair of networks where every number can be checked
 by hand. The abstract net is verified with interval bound propagation;
-the lifted recurrence widens those intervals by a bound on how far each
-merged-away neuron can drift from its representative inside the box, so a
-proof on the small net becomes a proof on the big one.
+the lifted recurrence bounds every original neuron inside the box and gives
+each merged cluster the hull of its members' intervals, so a proof on the
+small net becomes a proof on the big one.
 
 Run:  python3 demos/03_verify_and_lift.py
 """
@@ -54,9 +54,9 @@ print(f"delta={delta}: abstract output intervals "
       f"[{lo[0]:.0f}, {up[0]:.0f}] vs [{lo[1]:.0f}, {up[1]:.0f}] "
       f"-> {verdict(robust_mask(b, [0])[0])}")
 
-# The lifted bounds add drift slack per merged layer; exact duplicates
-# cannot drift apart, so they reproduce the abstract intervals and the proof
-# transfers for free.
+# The lifted bounds join each merged cluster's members into one hull; exact
+# duplicates share one interval, so they reproduce the abstract intervals and
+# the proof transfers for free.
 lb = lifted_bounds(record, x, delta)
 run = verify_and_lift(record, x[None, :], delta)
 print(f"lifted intervals match: lower {lb.output_lower}, upper {lb.output_upper}")

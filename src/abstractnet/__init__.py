@@ -42,7 +42,6 @@ from .verifier import (
 from .bounds import ErrorBounds, clustering_error, total_error
 from .lifting import (
     EPSILON_SCOPE_NOTE,
-    LiftedBounds,
     VerifyLiftResult,
     lift_proof,
     lifted_bounds,
@@ -87,7 +86,6 @@ __all__ = [
     "ErrorBounds",
     "clustering_error",
     "total_error",
-    "LiftedBounds",
     "lifted_bounds",
     "lift_proof",
     "verify_and_lift",

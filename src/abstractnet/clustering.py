@@ -12,6 +12,7 @@ bound needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,14 +92,17 @@ class LayerClustering:
         """Original neuron index -> index of its cluster in the merged layer."""
         return self._cluster_of.copy()
 
-    def rep_of(self) -> np.ndarray:
-        """Original neuron index -> index of its cluster's representative."""
-        return np.asarray(self.representatives, dtype=np.int64)[self._cluster_of]
-
     def cluster_max(self, values: np.ndarray) -> np.ndarray:
-        """Per cluster, the max of the per-neuron ``values`` over its members."""
-        out = np.full(self.num_clusters, -np.inf)
-        np.maximum.at(out, self._cluster_of, values)
+        """Per cluster, the max of ``values`` (n,) or (..., n) over its members.
+
+        Bit-equal to a scatter max over each neuron's cluster, in one pass per cluster size.
+        """
+        out = np.empty(values.shape[:-1] + (self.num_clusters,))
+        for ids, cols in self._groups:
+            acc = values[..., cols[:, 0]]
+            for col in cols.T[1:]:
+                np.maximum(acc, values[..., col], out=acc)
+            out[..., ids] = acc
         return out
 
     def abstract_epsilons(self) -> np.ndarray:
@@ -111,9 +115,13 @@ class LayerClustering:
         Bit-equal to ``m[:, members].sum(axis=1)``, in one pass per cluster size.
         """
         out = np.empty((m.shape[0], self.num_clusters))
-        for ids, cols in _size_groups(self.clusters):
+        for ids, cols in self._groups:
             out[:, ids] = m[:, cols].sum(axis=2)
         return out
+
+    @functools.cached_property
+    def _groups(self) -> tuple:  # _size_groups of the clusters, built on first use
+        return tuple(_size_groups(self.clusters))
 
 
 def _gram_matrix(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

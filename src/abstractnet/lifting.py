@@ -2,23 +2,22 @@
 
 The abstract network's own interval bounds say nothing about the deleted
 neurons. To recover bounds that also enclose the original network, the lift
-runs the verifier's interval loop on the abstract network with two changes:
-each merged layer's interval is widened by a per-cluster radius, and each
-layer is applied through per-cluster sums of the positive parts and of the
-negative parts of the original outgoing columns. Summing before splitting
-signs would let a +w/-w pair cancel to zero and erase the slack, so the split
-happens per member column. This module builds that lift operator from a
-record; the loop itself is :func:`abstractnet.verifier._interval_pass`.
+runs the verifier's interval loop over every original neuron: its interval
+comes from its source clusters' intervals, through per-cluster sums of the
+positive parts and of the negative parts of its original weights. Summing
+before splitting signs would let a +w/-w pair cancel to zero and erase the
+slack, so the split happens per member column. Each merged cluster's interval
+is then the join (hull) of its members' intervals. This module builds that
+lift operator from a record; the loop itself is
+:func:`abstractnet.verifier._interval_pass`.
 
-The radius of a cluster is its box epsilon: an interval-arithmetic bound,
-over the previous layer's widened interval, on how far any member's
-pre-activation can move from its representative's inside the query box. ReLU
-is monotone and 1-Lipschitz, so by induction every original neuron's interval
-bound lies inside its cluster's widened interval, at query points on or off
-the activation-collection set X. Exact duplicates have box epsilon 0. The
-epsilons a record stores are measured on X alone, so they add no soundness
-off X; the lift does not read them, and they feed only the error bound of
-:mod:`abstractnet.bounds` and the reports.
+Interval arithmetic and ReLU are monotone, so by induction every original
+neuron's interval bound lies inside its cluster's lifted interval, at query
+points on or off the activation-collection set X. The representatives' rows
+are the abstract network's, so the lifted interval also contains the abstract
+network's own. The epsilons a record stores are measured on X alone, so they
+add no soundness off X; the lift does not read them, and they feed only the
+error bound of :mod:`abstractnet.bounds` and the reports.
 
 The module also holds the one abstract -> verify -> lift run behind the
 ``bench`` command and :func:`pipeline`, and the report both print.
@@ -49,85 +48,51 @@ BENCH_BATCH = 100
 EPSILON_SCOPE_NOTE = (
     "recorded epsilons are the largest activation gaps measured on the "
     "activation-collection input set, and lifted bounds do not use them: the "
-    "lift widens each merged cluster by an interval bound on its members' drift "
-    "over the query box, so lifted verdicts also hold at inputs outside the set"
+    "lift bounds each merged cluster by the hull of its members' intervals over "
+    "the query box, so lifted verdicts also hold at inputs outside the set"
 )
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedBounds(LayerBounds):
-    """Lifted bounds plus the widening the lift applied at each layer.
-
-    ``lower`` and ``upper`` follow the abstract network. ``widening`` holds one
-    abstract-indexed entry per layer 1..L: every original neuron's interval
-    bound lies inside ``[lower - widening, upper + widening]`` of its cluster.
-    An entry is zero at a layer without merged-away members. For a batch, an
-    entry is one row per query where the lift widened, and one shared zero
-    (width,) vector where it did not.
-    """
-
-    widening: tuple[np.ndarray, ...] = ()
 
 
 def _lift_operator(record: AbstractionRecord) -> tuple[_IntervalStep, ...]:
     """The lift's interval step per layer, built once per record; records are immutable.
 
-    A step's weights are the original's, sign-split, summed per source cluster
-    and restricted to the representatives' rows; its members are the other
-    neurons of the destination layer.
+    A step has one row per original neuron of its layer: the original weights,
+    sign-split and summed per source cluster, and the original bias. It joins
+    the rows per cluster where its layer is merged.
     """
     steps = record._memo.get("lift")
-    if steps is not None:
-        return steps
-    orig = record.original_net
-    layers = record.layers
-    steps = []
-    for w, b, b_abs, src, dst in zip(
-        orig.weights, orig.biases, record.abstract_net.biases, layers, layers[1:]
-    ):
-        wp, wn = src.sum_columns(np.maximum(w, 0.0)), src.sum_columns(np.minimum(w, 0.0))
-        rep_of = dst.rep_of()
-        others = np.flatnonzero(rep_of != np.arange(dst.num_neurons))
-        members = {}
-        if others.size:
-            d = w[others, :] - w[rep_of[others], :]
-            owner = dst.neuron_map()[others]
-            order = np.argsort(owner, kind="stable")
-            starts = np.flatnonzero(np.r_[True, np.diff(owner[order]) != 0])
-            members = dict(
-                dp=src.sum_columns(np.maximum(d, 0.0)),
-                dn=src.sum_columns(np.minimum(d, 0.0)),
-                db=b[others] - b[rep_of[others]],
-                order=order,
-                starts=starts,
-                owner=owner[order[starts]],
+    if steps is None:
+        layers = record.layers
+        steps = record._memo["lift"] = tuple(
+            _IntervalStep(
+                src.sum_columns(np.maximum(w, 0.0)),
+                src.sum_columns(np.minimum(w, 0.0)),
+                b,
+                dst if dst.num_clusters < dst.num_neurons else None,
             )
-        reps = list(dst.representatives)
-        steps.append(_IntervalStep(wp[reps, :], wn[reps, :], b_abs, **members))
-    steps = record._memo["lift"] = tuple(steps)
+            for w, b, src, dst in zip(
+                record.original_net.weights, record.original_net.biases, layers, layers[1:]
+            )
+        )
     return steps
 
 
-def lifted_bounds(record: AbstractionRecord, x, delta) -> LiftedBounds:
+def lifted_bounds(record: AbstractionRecord, x, delta) -> LayerBounds:
     """Interval bounds on the abstract network that also enclose the original.
 
     ``x`` and ``delta`` are taken as by :func:`ibp_bounds`: one query (d,) or
     a batch (n, d). Shapes follow the abstract network. At each merged layer
-    the interval of every cluster is widened by its box epsilon, which bounds
-    |(W_m - W_rep) a + (b_m - b_rep)| over the members m and over the previous
-    layer's widened interval a. The widening applied at each layer is returned
-    as ``widening`` (one abstract-indexed entry per layer 1..L), and every
-    original neuron's interval bound over the box lies inside its cluster's
-    ``[lower - widening, upper + widening]``. The recorded epsilons are not
-    read: the bounds are a function of the networks and the box alone.
+    a cluster's interval is the hull of its members' intervals, each taken
+    over the previous layer's lifted intervals, so every original neuron's
+    interval bound over the box lies inside its cluster's, and so does the
+    abstract network's own. The recorded epsilons are not read: the bounds
+    are a function of the networks and the box alone.
     """
     abstract_net = record.abstract_net
     lo, up = _box(abstract_net, x, delta)
-    lows, ups, widening = _interval_pass(
-        _lift_operator(record), abstract_net.output_activation == "relu", lo, up
-    )
-    widening = (np.zeros(u.shape[-1]) if e is None else e for u, e in zip(ups, widening))
-    return LiftedBounds(tuple(lows), tuple(ups), tuple(widening))
+    relu_output = abstract_net.output_activation == "relu"
+    lows, ups = _interval_pass(_lift_operator(record), relu_output, lo, up)
+    return LayerBounds(tuple(lows), tuple(ups))
 
 
 def lift_proof(record: AbstractionRecord, query: RobustnessQuery) -> Verdict:

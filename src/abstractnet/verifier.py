@@ -5,9 +5,10 @@ and its activation, for the original, the abstract and the lifted networks.
 Each affine layer is applied through the positive and the negative parts of
 its weights; hidden layers are clamped at zero by ReLU, and the output layer
 follows the network's output activation, so bounds always enclose the
-network's actual outputs over the input box. Plain interval bound
-propagation (:func:`ibp_bounds`) is the lift of an unmerged network: no
-merged-away members and no widening.
+network's actual outputs over the input box. A step may also join its
+neurons' intervals per cluster into one hull each, which is how the lift
+carries merged layers. Plain interval bound propagation (:func:`ibp_bounds`)
+is the same loop with no joins.
 
 Verdicts are deliberately three-valued: interval analysis can prove robustness
 (strict margin between the target's lower bound and every competitor's upper
@@ -22,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from .clustering import LayerClustering
 from .errors import ValidationError, check_int, seeded_rng
 from .network import Network, RobustnessQuery, _as_delta
 
@@ -72,52 +74,37 @@ def _box(net: Network, x, delta):
 class _IntervalStep:
     """One affine layer: the positive and negative parts of its weights, its bias.
 
-    A layer with merged-away members m also has ``dp``/``dn``/``db``, the same
-    for the rows W_m - W_rep and b_m - b_rep. ``order`` lists the members
-    grouped by cluster, ``starts`` where each cluster's run begins in that
-    order, and ``owner`` the cluster of each run.
+    ``join``, when set, is a clustering of the layer's neurons: after the
+    activation each cluster's interval becomes the hull of its members'.
     """
 
     wp: np.ndarray
     wn: np.ndarray
     b: np.ndarray
-    dp: np.ndarray | None = None
-    dn: np.ndarray | None = None
-    db: np.ndarray | None = None
-    order: np.ndarray | None = None
-    starts: np.ndarray | None = None
-    owner: np.ndarray | None = None
+    join: LayerClustering | None = None
 
 
 def _interval_pass(steps, relu_output: bool, lo, up):
-    """Lower, upper and widening per layer, from the box [lo, up] through ``steps``.
+    """Lower and upper bounds per layer, from the box [lo, up] through ``steps``.
 
-    A layer is widened (None: not widened) only where it has merged-away
-    members: per cluster, by the interval bound of
-    |(W_m - W_rep) a + (b_m - b_rep)| over the members m and over the widened
-    input a. A layer's interval is widened before it feeds the next layer.
+    Where a step has a ``join``, its layer's bounds are per cluster: the max
+    of the members' upper bounds and the min of their lower bounds.
     """
-    lows, ups, widening = [lo], [up], [None]
+    lows, ups = [lo], [up]
     last = len(steps) - 1
     for j, step in enumerate(steps):
-        e = widening[-1]
-        hi, lo = (ups[-1], lows[-1]) if e is None else (ups[-1] + e, lows[-1] - e)
-        new_up = hi @ step.wp.T + lo @ step.wn.T + step.b
-        new_lo = lo @ step.wp.T + hi @ step.wn.T + step.b
+        lo, up = lows[-1], ups[-1]
+        new_up = up @ step.wp.T + lo @ step.wn.T + step.b
+        new_lo = lo @ step.wp.T + up @ step.wn.T + step.b
         if j < last or relu_output:
             new_up = np.maximum(new_up, 0.0)
             new_lo = np.maximum(new_lo, 0.0)
-        e = None
-        if step.owner is not None:
-            gap_up = hi @ step.dp.T + lo @ step.dn.T + step.db
-            gap_lo = lo @ step.dp.T + hi @ step.dn.T + step.db
-            gap = np.maximum(np.abs(gap_up), np.abs(gap_lo))
-            e = np.zeros(new_up.shape)
-            e[..., step.owner] = np.maximum.reduceat(gap[..., step.order], step.starts, axis=-1)
+        if step.join is not None:
+            new_up = step.join.cluster_max(new_up)
+            new_lo = -step.join.cluster_max(-new_lo)
         lows.append(new_lo)
         ups.append(new_up)
-        widening.append(e)
-    return lows, ups, widening
+    return lows, ups
 
 
 def ibp_bounds(net: Network, x, delta) -> LayerBounds:
@@ -133,7 +120,7 @@ def ibp_bounds(net: Network, x, delta) -> LayerBounds:
         for w, b in zip(net.weights, net.biases)
     ]
     relu_output = net.output_activation == "relu"
-    lows, ups, _ = _interval_pass(steps, relu_output, lo, up)
+    lows, ups = _interval_pass(steps, relu_output, lo, up)
     return LayerBounds(tuple(lows), tuple(ups))
 
 

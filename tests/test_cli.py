@@ -687,14 +687,16 @@ def workflow_digests(d):
 # The files hold the arrays written when records named their epsilon norm,
 # under "linf" with that one provenance entry removed, now base64-encoded. The
 # reports differ from that code's "linf" reports only in the epsilon_scope
-# note and the abstract report's dropped "epsilon_norm" key.
+# note and the abstract report's dropped "epsilon_norm" key, and the lift and
+# bench reports also in the three queries (0, 1 and 5) that the hull lift
+# proves where the earlier widening lift did not, and in their counts.
 PINNED_WORKFLOW = {
     "train": "c27b33f2cb873c411096f1f44ed539bb022561829bf3a60e06ba367a17ba794b",
-    "abstract --alpha": "42458b2e7992e69795f010b3a2216efdf914114b5fff52fc87474c821759af9a",
-    "abstract --kl": "514c347f45e7a35bdc389840b9fc43f908aebc8a283fa8228e7a3700f767724a",
+    "abstract --alpha": "997b0f63e918bca13daba1687e79b7d29c2058be9377275e6ebc7a09bca18dde",
+    "abstract --kl": "4d9a1776fc27e86fa485a403f6d326b409debd3fac48c75ed0d9adaffec2b9e7",
     "verify --falsify": "112895861ac6eef64b8dd2070fe5cfdbb51767d143a870f27878ea8f9edd431b",
-    "lift": "d846ef7e468b9d8f68a2f68f9f319944470cba7dfd3aed476142e61605c40e5f",
-    "bench": "971d16ea57035128c2d8b598f69f3ddfe61480f097703f967c794605bcab442d",
+    "lift": "1956168294cec60d3ed22405ae81ce9bd2ac2b87a440f8ae4413317db1ff2d3d",
+    "bench": "a598ac23259353a32d910b10de863e9bbb5ca911a291952405e0e78afaf6c40f",
     "net.json": "b8341b4cefdafbd0e2e55f6a54161b10c963c4fdc29317e87cd2eee02ec14d51",
     "alpha.json": "88ed1b60dbe4f0b09ee939a804372aea2eebecccc4639dd3f37b35e4f6a5e3f8",
     "kl.json": "dc07036de45113a044d373d90aacd21e9ddae53e932c565cd30d7e71dc00351d",

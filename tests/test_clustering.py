@@ -413,3 +413,29 @@ def test_neuron_map_and_abstract_epsilons():
     )
     assert lc.neuron_map().tolist() == [0, 1, 0, 1]
     assert lc.abstract_epsilons().tolist() == [0.5, 1.5]
+
+
+def test_cluster_max_equals_the_scatter_max():
+    # one pass per cluster size; max is exact, so the result has the bits of a
+    # scatter max over each neuron's cluster, for one row and for a batch
+    rng = np.random.default_rng(44)
+    for trial in range(40):
+        n = int(rng.integers(1, 13))
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        for assign in (labels, np.arange(n), np.zeros(n, dtype=np.int64)):
+            members = [np.flatnonzero(assign == c) for c in np.unique(assign)]
+            reps = [int(rng.choice(m)) for m in members]
+            order = np.argsort(reps)
+            cl = LayerClustering(
+                2,
+                tuple(tuple(members[c].tolist()) for c in order),
+                tuple(reps[c] for c in order),
+                np.zeros(n),
+            )
+            # small integers, so that members tie
+            for values in (rng.integers(-3, 4, size=n) * 0.5, rng.normal(size=(5, n))):
+                expect = np.full(values.shape[:-1] + (cl.num_clusters,), -np.inf)
+                np.maximum.at(expect.T, cl.neuron_map(), values.T)
+                got = cl.cluster_max(values)
+                assert got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes()

@@ -18,6 +18,7 @@ from abstractnet import (
     lift_proof,
     lifted_bounds,
     pipeline,
+    robust_mask,
     verify_and_lift,
 )
 from abstractnet.lifting import _lift_operator
@@ -76,18 +77,23 @@ def test_sign_sums_add_up_to_abstract_weights():
         records.append(abstract(net, X, k_l=random_k_l(rng, net), seed=trial))
     for record in records:
         assert _lift_operator(record) is _lift_operator(record)  # built once per record
-        for step, w in zip(_lift_operator(record), record.abstract_net.weights):
-            assert step.wp.shape == w.shape
+        # one row per original neuron, one column per source cluster; the
+        # representatives' rows add up to the abstract weights
+        for step, w, dst in zip(
+            _lift_operator(record), record.abstract_net.weights, record.layers[1:]
+        ):
+            assert step.wp.shape == (dst.num_neurons, w.shape[1])
             assert np.all(step.wp >= 0.0) and np.all(step.wn <= 0.0)
-            assert np.allclose(step.wp + step.wn, w, atol=1e-12)
+            reps = list(dst.representatives)
+            assert np.allclose(step.wp[reps] + step.wn[reps], w, atol=1e-12)
 
 
 def test_mixed_sign_members_keep_slack():
     # two merged neurons feed the output with weights +1 and -1: the abstract
     # column sums to zero, but the lifted recurrence splits signs per member,
-    # so the members' drift still widens the output interval. At x = 1 they
-    # are 1.0 and 1.2, so the box epsilon is |1.2 - 1.0| * 1 = 0.2 whichever
-    # is the representative, and the output interval is +-2 * 0.2. The
+    # so the members' spread still reaches the output interval. At x = 1 they
+    # are 1.0 and 1.2, so the cluster's hull is [1.0, 1.2] whichever is the
+    # representative, and the output interval is [1.0 - 1.2, 1.2 - 1.0]. The
     # recorded epsilon, the gap 0.4 at x = 2, plays no part.
     net = Network(
         (np.array([[1.0], [1.2]]), np.array([[1.0, -1.0]])),
@@ -98,9 +104,10 @@ def test_mixed_sign_members_keep_slack():
     assert record.abstract_net.weights[1].tolist() == [[0.0]]
     assert float(record.clustering_for(2).epsilons.max()) == pytest.approx(0.4)
     bounds = lifted_bounds(record, np.array([1.0]), 0.0)
-    assert bounds.widening[1] == pytest.approx([0.2])
-    assert bounds.output_upper[0] == pytest.approx(0.4)
-    assert bounds.output_lower[0] == pytest.approx(-0.4)
+    assert bounds.lower[1].tolist() == [1.0]
+    assert bounds.upper[1].tolist() == [1.2]
+    assert bounds.output_upper[0] == pytest.approx(0.2)
+    assert bounds.output_lower[0] == pytest.approx(-0.2)
     # the original output at x sits inside that interval
     y = float(net.forward(np.array([1.0]))[0])
     assert bounds.output_lower[0] - 1e-12 <= y <= bounds.output_upper[0] + 1e-12
@@ -111,7 +118,7 @@ def test_member_coverage_gap_documented():
     # member's true range over a perturbation box can exceed the
     # representative's lifted bound plus the recorded epsilon. Two neurons
     # that agree on X = {(0.5, 0.5)} but scale different coordinates drift
-    # apart inside the box; the lift's box epsilon covers that drift.
+    # apart inside the box; the lift's hull over the members covers that drift.
     net = Network(
         (np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([[1.0, 1.0]])),
         (np.zeros(2), np.zeros(1)),
@@ -126,7 +133,9 @@ def test_member_coverage_gap_documented():
     x = np.array([0.5, 0.5])
     delta = 0.1
     bounds = lifted_bounds(record, x, delta)
-    rep_upper_plus_eps = float(bounds.upper[1][0]) + 0.5
+    rep_upper = float(ibp_bounds(record.abstract_net, x, delta).upper[1][0])
+    assert rep_upper == pytest.approx(0.6)
+    rep_upper_plus_eps = rep_upper + 0.5
     # member neuron 1 really reaches relu(2 * 0.6) = 1.2 inside the box
     member_true_max = float(
         net.forward_trace(np.array([0.5, 0.6])).activations[1][1]
@@ -134,17 +143,16 @@ def test_member_coverage_gap_documented():
     assert member_true_max == pytest.approx(1.2)
     assert rep_upper_plus_eps == pytest.approx(1.1)
     assert member_true_max > rep_upper_plus_eps
-    # the box epsilon: |(-1, 2) . x| + |(-1, 2)| . delta = 0.5 + 0.3
-    widening = float(bounds.widening[1][0])
-    assert widening == pytest.approx(0.8)
-    assert float(bounds.upper[1][0]) == pytest.approx(0.6)
-    assert float(bounds.upper[1][0]) + widening >= member_true_max
+    # the lifted cluster is the hull of [0.4, 0.6] and [0.8, 1.2]
+    assert float(bounds.lower[1][0]) == pytest.approx(0.4)
+    assert float(bounds.upper[1][0]) == pytest.approx(1.2)
+    assert float(bounds.upper[1][0]) >= member_true_max
 
 
-def test_widening_tight_at_first_hidden_layer():
-    # Layer 2 sees the exact input box, so the box epsilon of member m is
-    # |D_m x + db_m| + |D_m| . delta with D_m = W_m - W_rep, db_m = b_m - b_rep;
-    # the lift widens each cluster by the largest of those over its members
+def test_lift_is_the_member_hull_at_first_hidden_layer():
+    # Layer 2 sees the exact input box, through the original rows and biases:
+    # each cluster's lifted interval is exactly the hull of its members'
+    # intervals under plain IBP on the original network
     rng = np.random.default_rng(41)
     for trial in range(30):
         net = random_network(rng)
@@ -153,58 +161,48 @@ def test_widening_tight_at_first_hidden_layer():
         x = rng.normal(size=net.layer_sizes[0])
         delta = float(rng.uniform(0.0, 0.2))
         lb = lifted_bounds(record, x, delta)
-        w, b = net.weights[0], net.biases[0]
-        cl = record.clustering_for(2)
-        expect = np.zeros(cl.num_clusters)
-        for c, (rep, members) in enumerate(zip(cl.representatives, cl.clusters)):
-            for m in members:
-                diff = w[m] - w[rep]
-                box = abs(diff @ x + b[m] - b[rep]) + np.abs(diff).sum() * delta
-                expect[c] = max(expect[c], box)
-        np.testing.assert_allclose(lb.widening[1], expect, rtol=1e-12, atol=1e-12)
+        ob = ibp_bounds(net, x, delta)
+        members = record.clustering_for(2).clusters
+        assert lb.upper[1].tolist() == [max(ob.upper[1][list(c)]) for c in members]
+        assert lb.lower[1].tolist() == [min(ob.lower[1][list(c)]) for c in members]
 
 
-def test_widening_of_exact_duplicates_is_zero():
+def test_lift_of_exact_duplicates_is_the_abstract_ibp():
     # the toy's merged neurons are exact duplicates with same-sign outgoing
-    # columns: the lift widens by exactly 0, whatever epsilon the record
-    # carries, and its bounds are the abstract net's own interval bounds
+    # columns: whatever epsilon the record carries, their hull is their one
+    # interval, and the lift is the abstract net's own interval bounds
     rng = np.random.default_rng(43)
     for e in (0.0, 0.1, 1 / 3, 1.0):
         record = toy_record(e)
         for x, delta in ((np.zeros(2), np.ones(2)), (rng.normal(size=(4, 2)), 0.3)):
             lb = lifted_bounds(record, x, delta)
-            assert all(np.all(w == 0.0) for w in lb.widening)
             plain = ibp_bounds(record.abstract_net, x, delta)
             for got, want in zip(lb.lower + lb.upper, plain.lower + plain.upper):
                 assert np.array_equal(got, want)
 
 
-def test_widening_equals_the_scatter_max_over_members():
-    # the lift reduces member gaps run by run, over members sorted by cluster
-    # once per lift operator; max is exact, so the widening has the bits of a
-    # scatter max over each member's cluster, for one query and for a batch
-    rng = np.random.default_rng(44)
-    widened = 0
-    for trial in range(40):
+def test_lifted_bounds_contain_the_abstract_ibp():
+    # the representatives' rows of the lift are the abstract net's rows, so at
+    # every layer the lifted interval contains the abstract net's own interval
+    # bound, and a query proved by the lift is proved on the abstract net too
+    rng = np.random.default_rng(54)
+    for trial in range(60):
         net = random_network(rng)
+        if trial % 2:
+            net = Network(net.weights, net.biases, "relu")
         d = net.layer_sizes[0]
         record = abstract(net, rng.normal(size=(8, d)), k_l=random_k_l(rng, net), seed=trial)
-        for x in (rng.normal(size=d), rng.normal(size=(5, d))):
-            lb = lifted_bounds(record, x, 0.05)
-            for j, (step, dst) in enumerate(zip(_lift_operator(record), record.layers[1:])):
-                if step.owner is None:
-                    continue
-                hi, lo = lb.upper[j] + lb.widening[j], lb.lower[j] - lb.widening[j]
-                gap = np.maximum(
-                    np.abs(hi @ step.dp.T + lo @ step.dn.T + step.db),
-                    np.abs(lo @ step.dp.T + hi @ step.dn.T + step.db),
-                )
-                others = np.flatnonzero(dst.rep_of() != np.arange(dst.num_neurons))
-                expect = np.zeros(lb.upper[j + 1].shape)
-                np.maximum.at(expect.T, dst.neuron_map()[others], gap.T)
-                assert lb.widening[j + 1].tobytes() == expect.tobytes()
-                widened += 1
-    assert widened > 40
+        Q = rng.normal(size=(4, d))
+        labels = record.abstract_net.classify(Q)
+        for delta in (float(rng.uniform(0.0, 0.2)), rng.uniform(0.0, 0.2, size=d)):
+            lifted = lifted_bounds(record, Q, delta)
+            plain = ibp_bounds(record.abstract_net, Q, delta)
+            for lo, up, want_lo, want_up in zip(
+                lifted.lower, lifted.upper, plain.lower, plain.upper
+            ):
+                assert lo.shape == want_lo.shape
+                assert np.all(lo <= want_lo + 1e-9) and np.all(want_up <= up + 1e-9)
+            assert not np.any(robust_mask(lifted, labels) & ~robust_mask(plain, labels))
 
 
 def test_lifted_output_bounds_cover_samples_off_collection_set():
@@ -230,7 +228,7 @@ def test_lifted_output_bounds_cover_samples_off_collection_set():
 
 def test_lifted_bounds_ignore_recorded_epsilon():
     # the lift is a function of the networks and the box: scaling every
-    # recorded epsilon by 1e6 leaves the lower, upper and widening bit-identical
+    # recorded epsilon by 1e6 leaves the lower and upper bounds bit-identical
     rng = np.random.default_rng(37)
     for trial in range(20):
         net = random_network(rng, sizes=(3, 7, 5, 2))
@@ -244,23 +242,26 @@ def test_lifted_bounds_ignore_recorded_epsilon():
         for x in (rng.normal(size=3), rng.normal(size=(4, 3))):
             want = lifted_bounds(record, x, 0.05)
             got = lifted_bounds(huge, x, 0.05)
-            for g, w in zip(got.lower + got.upper + got.widening,
-                            want.lower + want.upper + want.widening):
+            for g, w in zip(got.lower + got.upper, want.lower + want.upper):
                 assert np.array_equal(g, w)
 
 
 def test_lifted_relu_output_clamps():
     record = toy_record(0.0)
+    # label 1's output bias is -2 here, so its pre-activation can go negative
+    out_bias = np.array([5.0, -2.0])
     relu_abstract = Network(
-        record.abstract_net.weights, record.abstract_net.biases, "relu"
+        record.abstract_net.weights, (*record.abstract_net.biases[:2], out_bias), "relu"
     )
     # the merged-away layer-3 neuron reads 1.5 times the representative's
     # first input, so over the layer-2 interval [0, 2] x [0, 2] at x = 0,
-    # delta = 1 its box epsilon is 0.5 * 2 = 1; the merge keeps the
-    # representative's row, so the abstract net is unchanged
+    # delta = 1 it reaches 5 where the representative reaches 4; the merge
+    # keeps the representative's row, so the abstract net is unchanged
     w1, w2, w3 = record.original_net.weights
     relu_original = Network(
-        (w1, np.array([[1.0, 1.0], [1.5, 1.0]]), w3), record.original_net.biases, "relu"
+        (w1, np.array([[1.0, 1.0], [1.5, 1.0]]), w3),
+        (*record.original_net.biases[:2], out_bias),
+        "relu",
     )
     c2, c3 = record.clusterings
     relu_record = type(record)(
@@ -278,11 +279,12 @@ def test_lifted_relu_output_clamps():
         [0.0, 0.0], [0.0, 0.0], [0.25], [0.0, 0.0]
     ]
     bounds = lifted_bounds(relu_record, np.zeros(2), np.ones(2))
-    assert bounds.widening[2].tolist() == [1.0]
-    # layer 3's [0, 4] widens to [-1, 5]; label 1 reads it with weight 1, so
-    # its lower bound -1 is clamped to 0
-    assert bounds.output_lower == pytest.approx([3.0, 0.0])
-    assert bounds.output_upper == pytest.approx([15.0, 5.0])
+    # layer 3's cluster is the hull of [0, 4] and [0, 5]; label 1 reads it
+    # with weight 1 and bias -2, so its lower bound -2 is clamped to 0
+    assert bounds.lower[2].tolist() == [0.0]
+    assert bounds.upper[2].tolist() == [5.0]
+    assert bounds.output_lower == pytest.approx([5.0, 0.0])
+    assert bounds.output_upper == pytest.approx([15.0, 3.0])
     assert np.all(bounds.output_lower >= 0.0)
 
 
@@ -325,14 +327,8 @@ def test_batched_lifted_bounds_match_per_row_calls():
             batched = lifted_bounds(record, Q, delta)
             for i, x in enumerate(Q):
                 single = lifted_bounds(record, x, delta[i] if np.ndim(delta) == 2 else delta)
-                for got, want in (
-                    (batched.lower, single.lower),
-                    (batched.upper, single.upper),
-                    (batched.widening, single.widening),
-                ):
-                    for g, w in zip(got, want):
-                        row = g[i] if g.ndim == 2 else g
-                        np.testing.assert_allclose(row, w, rtol=1e-9, atol=1e-12)
+                for g, w in zip(batched.lower + batched.upper, single.lower + single.upper):
+                    np.testing.assert_allclose(g[i], w, rtol=1e-9, atol=1e-12)
 
 
 def test_verify_and_lift_matches_per_query_proofs():
