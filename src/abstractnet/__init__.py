@@ -7,7 +7,7 @@ lifts certificates back to the original network with error margins.
 """
 
 from .errors import AbstractnetError, FormatError, TrainingError, ValidationError
-from .network import LayerTrace, Network, RobustnessQuery
+from .network import Network, RobustnessQuery
 from .data import (
     ActivationMatrix,
     LabeledDataset,
@@ -58,7 +58,6 @@ __all__ = [
     "TrainingError",
     "ValidationError",
     "Network",
-    "LayerTrace",
     "RobustnessQuery",
     "LabeledDataset",
     "ActivationMatrix",

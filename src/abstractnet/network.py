@@ -106,20 +106,8 @@ def _as_delta(delta, shape) -> np.ndarray:
     return np.broadcast_to(d, shape)
 
 
-def _forward_layers(weights, biases, x: np.ndarray, relu_output: bool = False):
-    """Pre- and post-activation values of every layer, input first, on bare weight lists."""
-    pres = [x]
-    acts = [x]
-    last = len(weights) - 1
-    for j, (w, b) in enumerate(zip(weights, biases)):
-        h = acts[-1] @ w.T + b
-        pres.append(h)
-        acts.append(np.maximum(h, 0.0) if j < last or relu_output else h)
-    return pres, acts
-
-
 def _forward_output(weights, biases, x: np.ndarray, relu_output: bool = False) -> np.ndarray:
-    """The last layer of :func:`_forward_layers`, bit for bit, keeping one layer at a time."""
+    """The package's one forward pass, on bare weight lists, keeping one layer at a time."""
     h = x
     last = len(weights) - 1
     for j, (w, b) in enumerate(zip(weights, biases)):
@@ -128,23 +116,6 @@ def _forward_output(weights, biases, x: np.ndarray, relu_output: bool = False) -
         if j < last or relu_output:
             np.maximum(h, 0.0, out=h)
     return h
-
-
-@dataclass(frozen=True, eq=False)
-class LayerTrace:
-    """Per-layer values of one forward pass.
-
-    ``preactivations[j]`` and ``activations[j]`` correspond to layer j+1; for the
-    input layer both equal the input itself. Arrays are (width,) for a single
-    input or (n_samples, width) for a batch.
-    """
-
-    preactivations: tuple[np.ndarray, ...]
-    activations: tuple[np.ndarray, ...]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.activations[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,22 +187,8 @@ class Network:
             raise ValidationError("input contains non-finite entries")
         return arr
 
-    def forward_trace(self, x) -> LayerTrace:
-        """Forward pass keeping every layer's pre- and post-activation values.
-
-        Accepts a single input (n_1,) or a batch (n_samples, n_1).
-        """
-        pres, acts = _forward_layers(
-            self.weights, self.biases, self._check_input(x), self.output_activation == "relu"
-        )
-        return LayerTrace(tuple(pres), tuple(acts))
-
     def forward(self, x) -> np.ndarray:
-        """Network output for a single input or a batch.
-
-        Bit-identical to ``forward_trace(x).output``, but only one layer's
-        values are alive at a time.
-        """
+        """Network output for a single input (n_1,) or a batch (n_samples, n_1)."""
         return _forward_output(
             self.weights, self.biases, self._check_input(x), self.output_activation == "relu"
         )

@@ -9,7 +9,8 @@ Every weight and bias is a view into one flat parameter buffer, and the
 gradients are written into views of a second buffer of the same layout. So one
 step's update, Adam moments and finite check each run once over the flat
 arrays. The arithmetic is elementwise, so each parameter ends bit-identical to
-an update run array by array.
+an update run array by array. In the backward pass, ReLU passes the gradient
+where its output is positive.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .data import LabeledDataset, split_dataset
 from .errors import TrainingError, ValidationError, check_int, seeded_rng
-from .network import Network, _forward_layers, _forward_output
+from .network import Network, _forward_output
 
 OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
@@ -104,9 +105,12 @@ def _flat_views(layer_sizes):
 
 
 def _loss_and_grads_raw(ws, bs, x, y, dws, dbs) -> float:
-    """Mean cross-entropy of one batch; its gradients are written into dws, dbs."""
-    pres, acts = _forward_layers(ws, bs, x)
-    logp = _log_softmax(pres[-1])
+    """Mean cross-entropy of one batch, its gradients written into dws, dbs; ReLU
+    passes the gradient where its output (``acts[j]``, layer j+1) is positive."""
+    acts = [x]
+    for j in range(len(ws)):
+        acts.append(_forward_output(ws[j : j + 1], bs[j : j + 1], acts[-1], j < len(ws) - 1))
+    logp = _log_softmax(acts[-1])
     loss = _mean_nll(logp, y)
     batch = x.shape[0]
     g = np.exp(logp)
@@ -116,7 +120,7 @@ def _loss_and_grads_raw(ws, bs, x, y, dws, dbs) -> float:
         np.matmul(g.T, acts[j], out=dws[j])
         np.sum(g, axis=0, out=dbs[j])
         if j > 0:
-            g = (g @ ws[j]) * (pres[j] > 0)
+            g = (g @ ws[j]) * (acts[j] > 0)
     return loss
 
 

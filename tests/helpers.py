@@ -6,12 +6,11 @@ import base64
 import numpy as np
 
 from abstractnet import (
-    FormatError, LabeledDataset, Network, TrainingError, ValidationError, init_network,
-    split_dataset,
+    FormatError, LabeledDataset, Network, TrainingError, ValidationError, collect_activations,
+    init_network, split_dataset,
 )
 from abstractnet.abstraction import AbstractionRecord, _fingerprint
 from abstractnet.clustering import KMEANS_MAX_ITER, LayerClustering
-from abstractnet.network import _forward_layers
 from abstractnet.synthetic import TEMPLATES, _shift
 from abstractnet.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
@@ -67,6 +66,13 @@ def random_network(rng, sizes=None) -> Network:
     ws = tuple(rng.normal(0.0, 1.0, (o, i)) for i, o in zip(sizes[:-1], sizes[1:]))
     bs = tuple(rng.normal(0.0, 0.5, o) for o in sizes[1:])
     return Network(ws, bs, output_activation="identity")
+
+
+def layer_values(net: Network, X) -> list:
+    """Every layer's values over the rows of X, input first, from the package's own
+    passes: ``collect_activations`` for hidden layers, ``Network.forward`` for the output."""
+    hidden = [collect_activations(net, X, layer).values.T for layer in net.hidden_layers]
+    return [X, *hidden, net.forward(X)]
 
 
 def random_k_l(rng, net: Network) -> dict[int, int]:
@@ -254,10 +260,11 @@ def reference_cluster_layer(points, raw_clusters):
     return clusters, reps, eps
 
 
-# Reference trainer and digit generator written the plain way: one update per
-# parameter array, freshly allocated gradients, one image at a time. The
-# package's flat-buffer trainer and table-lookup generator must match them bit
-# for bit.
+# Reference forward pass, trainer and digit generator written the plain way:
+# every layer's pre- and post-activation kept, one update per parameter array,
+# freshly allocated gradients, one image at a time. The package's
+# one-layer-at-a-time forward pass, flat-buffer trainer and table-lookup
+# generator must match them bit for bit.
 
 
 def _reference_log_softmax(logits):
@@ -270,8 +277,18 @@ def _reference_ce_loss(logits, labels):
     return float(-logp[np.arange(labels.shape[0]), labels].mean())
 
 
+def reference_forward_layers(ws, bs, x, relu_output=False):
+    """(pre-activations, activations) of every layer, input first, array by array."""
+    pres = [x]
+    acts = [x]
+    for j, (w, b) in enumerate(zip(ws, bs)):
+        pres.append(acts[-1] @ w.T + b)
+        acts.append(np.maximum(pres[-1], 0.0) if j < len(ws) - 1 or relu_output else pres[-1])
+    return pres, acts
+
+
 def _reference_loss_and_grads(ws, bs, x, y):
-    pres, acts = _forward_layers(ws, bs, x)
+    pres, acts = reference_forward_layers(ws, bs, x)
     logits = pres[-1]
     loss = _reference_ce_loss(logits, y)
     batch = x.shape[0]
@@ -329,7 +346,8 @@ def reference_train(ds, cfg):
                     p -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + ADAM_EPSILON)
             if any(not np.all(np.isfinite(p)) for p in params):
                 raise TrainingError(f"parameters diverged at epoch {epoch}", epoch=epoch)
-        val_loss = _reference_ce_loss(_forward_layers(ws, bs, val_part.inputs)[0][-1], val_part.labels)
+        val_logits = reference_forward_layers(ws, bs, val_part.inputs)[0][-1]
+        val_loss = _reference_ce_loss(val_logits, val_part.labels)
         if not np.isfinite(val_loss):
             raise TrainingError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
         if val_loss < best_val:

@@ -19,7 +19,7 @@ from abstractnet import (
     make_synthetic_digits,
     split_dataset,
 )
-from helpers import toy_abstract_network
+from helpers import reference_forward_layers, toy_abstract_network
 
 IMAGES_MAGIC = 0x803
 LABELS_MAGIC = 0x801
@@ -323,7 +323,7 @@ def test_collect_activations_golden():
 
 def test_collect_activations_stops_at_its_layer_bit_for_bit():
     # the pass stops at the requested layer; every hidden layer still equals
-    # the full forward trace exactly, whatever the output activation
+    # the per-array reference pass exactly, whatever the output activation
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 5))
     for output_activation in ("identity", "relu"):
@@ -331,13 +331,15 @@ def test_collect_activations_stops_at_its_layer_bit_for_bit():
         ws = tuple(rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:]))
         bs = tuple(rng.normal(size=o) for o in sizes[1:])
         net = Network(ws, bs, output_activation=output_activation)
-        trace = net.forward_trace(X)
+        relu_output = output_activation == "relu"
+        _, acts = reference_forward_layers(ws, bs, X, relu_output)
         for layer in net.hidden_layers:
             act = collect_activations(net, X, layer)
-            assert np.array_equal(act.values, trace.activations[layer - 1].T)
+            assert act.values.tobytes() == acts[layer - 1].T.copy().tobytes()
         # the output-only pass keeps one layer at a time, with the same arithmetic
-        assert net.forward(X).tobytes() == trace.output.tobytes()
-        assert net.forward(X[0]).tobytes() == net.forward_trace(X[0]).output.tobytes()
+        assert net.forward(X).tobytes() == acts[-1].tobytes()
+        single = reference_forward_layers(ws, bs, X[0], relu_output)[1][-1]
+        assert net.forward(X[0]).tobytes() == single.tobytes()
     with pytest.raises(ValidationError):  # inputs are still checked against the net
         collect_activations(net, X[:, :4], 2)
     with pytest.raises(ValidationError):

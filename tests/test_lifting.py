@@ -15,6 +15,7 @@ from abstractnet import (
     abstract,
     ibp_bounds,
     check_robust,
+    collect_activations,
     lift_proof,
     lifted_bounds,
     pipeline,
@@ -137,9 +138,7 @@ def test_member_coverage_gap_documented():
     assert rep_upper == pytest.approx(0.6)
     rep_upper_plus_eps = rep_upper + 0.5
     # member neuron 1 really reaches relu(2 * 0.6) = 1.2 inside the box
-    member_true_max = float(
-        net.forward_trace(np.array([0.5, 0.6])).activations[1][1]
-    )
+    member_true_max = float(collect_activations(net, np.array([[0.5, 0.6]]), 2).values[1, 0])
     assert member_true_max == pytest.approx(1.2)
     assert rep_upper_plus_eps == pytest.approx(1.1)
     assert member_true_max > rep_upper_plus_eps

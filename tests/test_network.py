@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from abstractnet import FormatError, Network, RobustnessQuery, ValidationError
+from abstractnet import FormatError, Network, RobustnessQuery, ValidationError, collect_activations
 from helpers import (
     MALFORMED_ARRAYS, as_number_lists, decoded, encoded, random_network, toy_abstract_network,
 )
@@ -24,23 +24,22 @@ def test_toy_forward_golden():
 
 
 def test_toy_trace_layers():
+    # layer by layer on the shipped passes: one column per input for hidden layers
     net = toy_abstract_network()
-    tr = net.forward_trace(np.array([1.0, 1.0]))
-    # index j holds layer j+1; the input layer passes through unchanged
-    assert np.array_equal(tr.preactivations[0], np.array([1.0, 1.0]))
-    assert np.array_equal(tr.preactivations[1], np.array([2.0, 0.0]))
-    assert np.array_equal(tr.activations[1], np.array([2.0, 0.0]))
-    assert np.array_equal(tr.preactivations[2], np.array([2.0]))
-    assert np.array_equal(tr.output, np.array([9.0, 2.0]))
+    X = np.array([[1.0, 1.0]])
+    assert np.array_equal(collect_activations(net, X, 2).values[:, 0], np.array([2.0, 0.0]))
+    assert np.array_equal(collect_activations(net, X, 3).values[:, 0], np.array([2.0]))
+    assert np.array_equal(net.forward(X[0]), np.array([9.0, 2.0]))
 
 
 def test_relu_clamps_hidden_layers():
+    # layer 2 computes (-2, 0) before ReLU and (0, 0) after it
     net = toy_abstract_network()
-    tr = net.forward_trace(np.array([-1.0, -1.0]))
-    assert np.array_equal(tr.preactivations[1], np.array([-2.0, 0.0]))
-    assert np.array_equal(tr.activations[1], np.array([0.0, 0.0]))
+    X = np.array([[-1.0, -1.0]])
+    assert np.array_equal(collect_activations(net, X, 2).values[:, 0], np.array([0.0, 0.0]))
+    assert np.array_equal(collect_activations(net, X, 3).values[:, 0], np.array([0.0]))
     # output layer is identity here, so negatives may pass through
-    assert np.array_equal(tr.output, np.array([5.0, 0.0]))
+    assert np.array_equal(net.forward(X[0]), np.array([5.0, 0.0]))
 
 
 def test_batched_forward_matches_loop():

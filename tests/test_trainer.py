@@ -19,7 +19,10 @@ from abstractnet import (
     split_dataset,
     train,
 )
-from helpers import reference_synthetic_digits, reference_train
+from helpers import (
+    _reference_loss_and_grads, reference_forward_layers, reference_synthetic_digits,
+    reference_train,
+)
 
 
 def numeric_grads(net, x, y, h=1e-6):
@@ -99,6 +102,34 @@ def test_loss_and_grads_returns_fresh_arrays():
         assert not np.shares_memory(a, b)
     for a, k in zip(dws_a + dbs_a, kept):
         assert np.array_equal(a, k)
+
+
+def test_relu_masks_match_reference_at_exact_zeros():
+    # Hidden units whose pre-activation is exactly zero, next to live units:
+    # zero incoming rows with bias 0.0 and -0.0, and a row (1, -1, 0) that
+    # cancels on inputs with equal first two features. ReLU passes no gradient
+    # there, whether the mask is read from the activations or the
+    # pre-activations, so the trainer matches the reference byte for byte.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(8, 3))
+    x[:, 1] = x[:, 0]
+    y = np.array([0, 1, 2, 0, 1, 2, 2, 1])
+    w1 = np.vstack([np.zeros((2, 3)), [1.0, -1.0, 0.0], rng.normal(size=(3, 3))])
+    b1 = np.concatenate([[0.0, -0.0, 0.0], rng.normal(size=3)])
+    w2 = np.vstack([np.zeros((1, 6)), rng.normal(size=(4, 6))])
+    b2 = np.concatenate([[-0.0], rng.normal(size=4)])
+    net = Network((w1, w2, rng.normal(size=(3, 5))), (b1, b2, rng.normal(size=3)))
+    pres, acts = reference_forward_layers(net.weights, net.biases, x)
+    assert np.all(pres[1][:, :3] == 0.0) and np.all(pres[2][:, 0] == 0.0)
+    assert np.any(acts[1][:, 3:] > 0) and np.any(acts[2][:, 1:] > 0)
+    loss, dws, dbs = loss_and_grads(net, x, y)
+    ref_loss, ref_dws, ref_dbs = _reference_loss_and_grads(net.weights, net.biases, x, y)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    for got, want in zip(dws + dbs, ref_dws + ref_dbs):
+        assert got.tobytes() == want.tobytes()
+    # the dead units get no gradient; the live ones do
+    assert np.all(dws[0][:3] == 0.0) and np.all(dbs[0][:3] == 0.0) and np.all(dbs[1][0] == 0.0)
+    assert np.all(dbs[0][3:] != 0.0)
 
 
 def test_init_network_shapes_and_bound():

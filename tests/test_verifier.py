@@ -13,7 +13,7 @@ from abstractnet import (
     ibp_bounds,
     robust_mask,
 )
-from helpers import random_network, toy_abstract_network
+from helpers import layer_values, random_network, toy_abstract_network
 
 
 def test_ibp_toy_golden():
@@ -55,9 +55,7 @@ def test_ibp_encloses_sampled_points():
         delta = float(rng.uniform(0.0, 0.5))
         bounds = ibp_bounds(net, x, delta)
         points = rng.uniform(x - delta, x + delta, size=(200, d))
-        trace = net.forward_trace(points)
-        for layer_idx in range(len(trace.activations)):
-            acts = trace.activations[layer_idx]
+        for layer_idx, acts in enumerate(layer_values(net, points)):
             assert np.all(acts >= bounds.lower[layer_idx] - 1e-9)
             assert np.all(acts <= bounds.upper[layer_idx] + 1e-9)
 
